@@ -10,7 +10,7 @@
 // Flags: --n (512) / --p / --graph FILE select the instance, --k (3),
 // --sources (12).
 #include "bench_common.hpp"
-#include "core/engine.hpp"
+#include "core/sketch_oracle.hpp"
 #include "dynamics/failure_model.hpp"
 
 namespace dsketch::bench {
@@ -23,7 +23,7 @@ int run_e11(const FlagSet& flags, std::ostream& out) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = k;
-  const SketchEngine stale(g, cfg);
+  const SketchOracle stale(g, cfg);
 
   for (const double fraction : {0.0, 0.05, 0.1, 0.2, 0.4}) {
     const FailurePlan plan = sample_edge_failures(g, fraction, 9);
@@ -31,7 +31,7 @@ int run_e11(const FlagSet& flags, std::ostream& out) {
     const StalenessReport report = evaluate_staleness(
         degraded, [&](NodeId u, NodeId v) { return stale.query(u, v); },
         sources, 5);
-    const SketchEngine rebuilt(degraded, cfg);
+    const SketchOracle rebuilt(degraded, cfg);
     row("e11", "stale_sketches")
         .add("n", static_cast<std::uint64_t>(g.num_nodes()))
         .add("k", k)

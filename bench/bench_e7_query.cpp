@@ -3,9 +3,9 @@
 // Hand-rolled timing loops over the query path for each scheme; the TZ
 // query should grow (sub-)linearly in k and stay in the tens to hundreds
 // of nanoseconds — the "quickly in an online fashion" claim of §1. Each
-// config is timed twice: through `SketchEngine::query` (the build
-// representation) and through the packed `SketchStore` (the serving
-// representation, see src/serve/).
+// config is timed twice: through `SketchOracle::query` (the build
+// representation, reported as engine_ns_per_query) and through the packed
+// `SketchStore` (the serving representation, see src/serve/).
 //
 // A second table (`oracle_latency`) times every oracle named by
 // --oracles (default "tz,landmark,exact") through the registry-resolved
@@ -19,8 +19,8 @@
 #include <memory>
 
 #include "bench_common.hpp"
-#include "core/engine.hpp"
 #include "core/oracle_registry.hpp"
+#include "core/sketch_oracle.hpp"
 #include "obs_overhead.hpp"
 #include "serve/mmap_store.hpp"
 #include "serve/sketch_store.hpp"
@@ -46,11 +46,11 @@ std::vector<std::pair<NodeId, NodeId>> random_pairs(NodeId n,
 void run_config(const Graph& g, const BuildConfig& cfg, const char* scheme,
                 std::size_t queries, const std::string& store_path,
                 std::ostream& out) {
-  const SketchEngine engine(g, cfg);
-  const SketchStore store = SketchStore::from_engine(engine);
+  const SketchOracle built(g, cfg);
+  const SketchStore store = SketchStore::from_oracle(built);
   const auto pairs = random_pairs(g.num_nodes(), queries, 5);
-  const double engine_ns = time_ns_per_query(
-      pairs, [&](NodeId u, NodeId v) { return engine.query(u, v); });
+  const double built_ns = time_ns_per_query(
+      pairs, [&](NodeId u, NodeId v) { return built.query(u, v); });
   const double store_ns = time_ns_per_query(
       pairs, [&](NodeId u, NodeId v) { return store.query(u, v); });
 
@@ -76,13 +76,13 @@ void run_config(const Graph& g, const BuildConfig& cfg, const char* scheme,
       .add("epsilon", cfg.epsilon)
       .add("n", static_cast<std::uint64_t>(g.num_nodes()))
       .add("queries", static_cast<std::uint64_t>(queries))
-      .add("engine_ns_per_query", engine_ns)
+      .add("engine_ns_per_query", built_ns)
       .add("store_ns_per_query", store_ns)
       .add("mmap_cold_ns_per_query", mmap_cold_ns)
       .add("mmap_warm_ns_per_query", mmap_warm_ns)
       .add("mmap_mismatches", static_cast<std::uint64_t>(mmap_mismatches))
       .add("mmap_bytes", static_cast<std::uint64_t>(mmap_store->mapped_bytes()))
-      .add("mean_sketch_words", engine.mean_size_words())
+      .add("mean_sketch_words", built.mean_size_words())
       .emit(out);
 }
 
@@ -168,7 +168,7 @@ int run_e7(const FlagSet& flags, std::ostream& out) {
   note(out, "e7",
        "Expected shape: TZ ns/query grows (sub-)linearly in k and stays in "
        "the tens-to-hundreds of ns; the packed store is at least as fast "
-       "as the engine representation; mmap_mismatches is exactly 0, warm "
+       "as the built representation; mmap_mismatches is exactly 0, warm "
        "mmap latency sits near the heap store's, and the cold pass pays "
        "the page fault-in on top. obs_overhead: metrics off vs on vs "
        "on+tracing should differ by low single-digit percent.");

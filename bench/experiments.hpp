@@ -28,7 +28,7 @@ namespace dsketch::bench {
 /// Runs one experiment with `flags` overrides, emitting JSON lines to
 /// `out`. Returns a process-style exit code (0 = success; nonzero means
 /// the experiment's internal invariant check failed, e.g. E12's
-/// store-vs-engine verification).
+/// store-vs-built-sketch verification).
 using ExperimentFn = int (*)(const FlagSet& flags, std::ostream& out);
 
 /// Registry entry describing one experiment.

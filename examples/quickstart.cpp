@@ -3,11 +3,12 @@
 //   $ ./quickstart
 //
 // Walks through the core API: generate a topology, run the distributed
-// Thorup-Zwick construction in the CONGEST simulator, and answer distance
+// Thorup-Zwick construction in the CONGEST simulator (SketchOracle, the
+// build surface for the four sketch families), and answer distance
 // queries from sketches alone, comparing against exact distances.
 #include <cstdio>
 
-#include "core/engine.hpp"
+#include "core/sketch_oracle.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
 
@@ -25,14 +26,14 @@ int main() {
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 3;
   cfg.termination = TerminationMode::kEcho;
-  const SketchEngine engine(g, cfg);
+  const SketchOracle sketches(g, cfg);
 
-  std::printf("built sketches: %s\n", engine.guarantee().c_str());
+  std::printf("built sketches: %s\n", sketches.guarantee().c_str());
   std::printf("  construction: %llu CONGEST rounds, %llu messages\n",
-              static_cast<unsigned long long>(engine.cost().rounds),
-              static_cast<unsigned long long>(engine.cost().messages));
+              static_cast<unsigned long long>(sketches.cost().rounds),
+              static_cast<unsigned long long>(sketches.cost().messages));
   std::printf("  mean sketch size: %.1f words per node (vs %u for APSP rows)\n",
-              engine.mean_size_words(), n);
+              sketches.mean_size_words(), n);
 
   // Query a few pairs and compare with exact distances.
   const auto exact_from_3 = dijkstra(g, 3);
@@ -40,7 +41,7 @@ int main() {
               "stretch");
   for (const NodeId v : {77u, 250u, 512u, 999u}) {
     const Dist d = exact_from_3[v];
-    const Dist est = engine.query(3, v);
+    const Dist est = sketches.query(3, v);
     std::printf("%-8u %-8u %-10llu %-10llu %.2f\n", 3u, v,
                 static_cast<unsigned long long>(d),
                 static_cast<unsigned long long>(est),

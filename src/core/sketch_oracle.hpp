@@ -1,12 +1,20 @@
 // The four paper sketch families (tz / slack / cdg / graceful) as one
 // DistanceOracle implementation.
 //
-// This is where the enum-switch that used to live inside SketchEngine
-// went: SketchOracle owns exactly one of the four payloads per
-// config().scheme and implements the polymorphic query/size/save surface
-// over it. The payloads themselves stay private — the packed serving
-// store (serve/sketch_store) is a friend so it can re-encode them without
-// the old leaky per-scheme payload accessors.
+// SketchOracle owns exactly one of the four payloads per config().scheme
+// and implements the polymorphic query/size/save surface over it; it is
+// the one build surface for the sketch families:
+//
+//   Graph g = erdos_renyi(1024, 0.01, {1, 16}, /*seed=*/42);
+//   SketchOracle oracle(g, BuildConfig{.scheme = Scheme::kThorupZwick,
+//                                      .k = 3});
+//   Dist estimate = oracle.query(3, 997);
+//   oracle.cost().rounds;     // simulated CONGEST rounds spent building
+//   oracle.size_words(3);     // sketch words stored at node 3
+//
+// save() writes the registry's text envelope; OracleRegistry::load reads
+// it back. The payloads themselves stay private — the packed serving
+// store (serve/sketch_store) is a friend so it can re-encode them.
 #pragma once
 
 #include <cstdint>
@@ -79,9 +87,7 @@ class SketchOracle final : public DistanceOracle {
   double envelope_epsilon() const override { return config_.epsilon; }
 
  private:
-  /// Packs the payloads into the binary serving arena; keeping the
-  /// serialization hook private to the oracle replaces the four public
-  /// *_payload() accessors the engine used to leak.
+  /// Packs the payloads into the binary serving arena.
   friend class SketchStore;
 
   SketchOracle() = default;  // used by load_payload()
@@ -89,7 +95,8 @@ class SketchOracle final : public DistanceOracle {
   BuildConfig config_;
   /// False only for sketches loaded from pre-epsilon envelopes, whose
   /// config().epsilon is a default rather than the recorded build value;
-  /// the store's to_text preserves that provenance.
+  /// SketchStore::from_oracle carries that provenance into the store's
+  /// epsilon_known() flag.
   bool epsilon_recorded_ = true;
   NodeId n_ = 0;
   SimStats cost_;

@@ -266,8 +266,9 @@ std::string MmapSketchStore::guarantee() const {
 Capabilities MmapSketchStore::capabilities() const {
   Capabilities caps = sketch_capabilities(scheme_, k_);
   caps.build_cost_available = false;
-  // No save path: the mapped file IS the persistent form; converting
-  // back to heap (SketchStore::load_file) is the write-capable route.
+  // No save path: the mapped file IS the persistent form; loading it
+  // into a heap store (SketchStore::load_file) and calling save_file is
+  // the re-encoding route.
   caps.supports_save = false;
   return caps;
 }

@@ -17,7 +17,6 @@ QueryService::QueryService(const DistanceOracle& oracle,
 QueryService::QueryService(std::shared_ptr<const DistanceOracle> oracle,
                            QueryServiceConfig cfg)
     : slot_(std::move(oracle)),
-      force_ordered_keys_(cfg.force_ordered_keys),
       collect_metrics_(cfg.collect_metrics),
       cfg_(cfg),
       pool_(cfg.threads) {
@@ -182,7 +181,7 @@ std::uint64_t QueryService::query_batch(std::span<const Pair> pairs,
   BatchCtx ctx;
   ctx.snap = slot_.load();
   ctx.previous = slot_.previous();
-  ctx.canonical_keys = ctx.snap.symmetric && !force_ordered_keys_;
+  ctx.canonical_keys = ctx.snap.symmetric;
   ctx.batch = batches_;
   // Scatter pair indices to their owning shards (single pass, reused
   // buffers), then execute each shard's slice on the pool. out[] is

@@ -67,10 +67,6 @@ struct QueryServiceConfig {
   std::size_t shards = 0;
   std::size_t threads = 0;         ///< pool lanes; 0 = hardware concurrency
   std::size_t cache_capacity = 0;  ///< per-shard LRU entries; 0 disables
-  /// Debug/benchmark override: key caches by the ordered pair even for
-  /// symmetric oracles (the pre-fix behavior; lets serve-bench measure
-  /// the canonical-key hit-rate delta).
-  bool force_ordered_keys = false;
   /// When false, shard slices skip latency recording entirely (no timer
   /// read, no histogram update). The counters (queries/hits) still run —
   /// they are integral to cache behavior, not observability. This is the
@@ -252,7 +248,6 @@ class QueryService {
                      NodeId v, Dist& answer);
 
   OracleSlot slot_;
-  bool force_ordered_keys_ = false;
   bool collect_metrics_ = true;
   QueryServiceConfig cfg_;
   ThreadPool pool_;

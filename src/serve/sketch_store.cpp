@@ -4,6 +4,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -11,7 +13,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "core/serialization.hpp"
 #include "core/sketch_oracle.hpp"
 #include "dynamics/incremental.hpp"
 #include "obs/trace.hpp"
@@ -29,9 +30,7 @@ namespace {
 
 namespace sf = store_format;
 
-using packed::kBunchStride;
 using packed::kCdgPrefixWords;
-using packed::kPivotStride;
 using packed::pack_dist;
 using packed::PackedLabel;
 using packed::packed_tz_query;
@@ -137,22 +136,6 @@ void pack_label(std::vector<std::uint32_t>& arena, const LabelView& label) {
     arena.push_back(e.level);
     pack_dist(arena, e.dist);
   }
-}
-
-TzLabelBuilder unpack_label(NodeId owner, const std::uint32_t* rec) {
-  const PackedLabel view{rec};
-  TzLabelBuilder label(owner, view.levels());
-  for (std::uint32_t i = 0; i < view.levels(); ++i) {
-    label.set_pivot(i, DistKey{view.pivot_dist(i), view.pivot_id(i)});
-  }
-  const std::uint32_t* b = view.bunch();
-  for (std::uint32_t e = 0; e < view.bunch_count(); ++e) {
-    label.add_bunch_entry(BunchEntry{b[kBunchStride * e],
-                                     b[kBunchStride * e + 1],
-                                     read_dist(b + kBunchStride * e + 2)});
-  }
-  label.sort_bunch();
-  return label;
 }
 
 }  // namespace
@@ -267,78 +250,6 @@ SketchStore SketchStore::from_oracle(const DistanceOracle& oracle) {
   return store;
 }
 
-SketchStore SketchStore::from_engine(const SketchEngine& engine) {
-  return from_oracle(engine.oracle());
-}
-
-SketchStore SketchStore::from_text(std::istream& in) {
-  const OracleEnvelope envelope = read_envelope_header(in);
-  return from_oracle(*SketchOracle::load_payload(in, envelope));
-}
-
-void SketchStore::to_text(std::ostream& out) const {
-  out << "scheme " << scheme_name(scheme_) << " " << n_ << " " << k_;
-  if (epsilon_known_) {
-    char eps[40];
-    std::snprintf(eps, sizeof(eps), "%.17g", epsilon_);
-    out << " " << eps;
-  }
-  out << "\n";
-
-  const auto unpack_cdg = [this](const Segment& seg) {
-    std::vector<CdgSketchSet::NodeSketch> sketches(n_);
-    for (NodeId u = 0; u < n_; ++u) {
-      const std::uint32_t* rec = seg.arena.data() + seg.offsets[u];
-      auto& s = sketches[u];
-      s.net_node = rec[0];
-      s.net_dist = read_dist(rec + 1);
-      s.label = unpack_label(rec[3], rec + kCdgPrefixWords);
-    }
-    return CdgSketchSet(std::move(sketches));
-  };
-
-  switch (scheme_) {
-    case Scheme::kThorupZwick: {
-      const Segment& seg = segments_[0];
-      std::vector<TzLabelBuilder> labels;
-      labels.reserve(n_);
-      for (NodeId u = 0; u < n_; ++u) {
-        labels.push_back(unpack_label(u, seg.arena.data() + seg.offsets[u]));
-      }
-      write_tz_labels(out, LabelArena::from_builders(std::move(labels)));
-      return;
-    }
-    case Scheme::kSlack: {
-      const Segment& seg = segments_[0];
-      const std::size_t net_size = static_cast<std::size_t>(seg.meta[0]);
-      std::vector<NodeId> net(net_size);
-      for (std::size_t i = 0; i < net_size; ++i) {
-        net[i] = static_cast<NodeId>(seg.meta[1 + i]);
-      }
-      std::vector<std::vector<Dist>> dist(n_, std::vector<Dist>(net_size));
-      for (NodeId u = 0; u < n_; ++u) {
-        const std::uint32_t* rec = seg.arena.data() + seg.offsets[u];
-        for (std::size_t i = 0; i < net_size; ++i) {
-          dist[u][i] = read_dist(rec + 2 * i);
-        }
-      }
-      write_slack_sketches(out, SlackSketchSet(std::move(net), std::move(dist)),
-                           n_);
-      return;
-    }
-    case Scheme::kCdg:
-      write_cdg_sketches(out, unpack_cdg(segments_[0]), n_);
-      return;
-    case Scheme::kGraceful: {
-      std::vector<CdgSketchSet> levels;
-      levels.reserve(segments_.size());
-      for (const Segment& seg : segments_) levels.push_back(unpack_cdg(seg));
-      write_graceful_sketches(out, GracefulSketchSet(std::move(levels)), n_);
-      return;
-    }
-  }
-}
-
 // ---- queries ----------------------------------------------------------------
 
 Dist SketchStore::query_segment(const Segment& seg, NodeId u, NodeId v) const {
@@ -444,8 +355,10 @@ std::string SketchStore::guarantee() const {
 Capabilities SketchStore::capabilities() const {
   Capabilities caps = sketch_capabilities(scheme_, k_);
   // The CONGEST cost was paid by whoever built; a packed store never
-  // carries it.
+  // carries it. Its persistent form is the binary store (save_file), not
+  // the text envelope.
   caps.build_cost_available = false;
+  caps.supports_save = false;
   return caps;
 }
 
@@ -808,11 +721,27 @@ void SketchStore::save_file(const std::string& path, StoreFormat format) const {
   // Crash-safe publish: write the full store to a sibling temp file, force
   // it to stable storage, then atomically rename over the target. A reader
   // of `path` (or a crash at any point here) sees either the previous
-  // complete store or the new complete store — never a torn prefix.
-  const std::string tmp = path + ".tmp";
+  // complete store or the new complete store — never a torn prefix. Each
+  // call claims a temp name of its own (pid + counter, created O_EXCL), so
+  // concurrent saves to one path never write into, or publish, each
+  // other's half-written bytes. Not mkstemp: its 0600 mode would survive
+  // the rename, where the store should get the umask's usual mode.
+  static std::atomic<std::uint64_t> next_tmp{0};
+  std::string tmp;
+  int tmp_fd = -1;
+  do {
+    tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+          std::to_string(next_tmp.fetch_add(1));
+    tmp_fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0666);
+  } while (tmp_fd < 0 && errno == EEXIST);
+  if (tmp_fd < 0) fail(StoreError::kIo, "cannot open for write: " + tmp);
+  ::close(tmp_fd);
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) fail(StoreError::kIo, "cannot open for write: " + tmp);
+    if (!out) {
+      std::remove(tmp.c_str());
+      fail(StoreError::kIo, "cannot open for write: " + tmp);
+    }
     try {
       write(out, format);
       out.flush();

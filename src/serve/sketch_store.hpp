@@ -14,7 +14,7 @@
 /// of 32-bit words; distances occupy two words (lo, hi). TZ bunch entries
 /// are stored sorted by node id so membership tests are branchless binary
 /// searches. Queries parse records in place: zero per-query allocation,
-/// and answers are bit-identical to SketchEngine::query (tested).
+/// and answers are bit-identical to SketchOracle::query (tested).
 ///
 /// On-disk layout (little-endian):
 ///   bytes 0..7   magic "DSKSTOR3"  (v1 "DSKSTOR1" / v2 "DSKSTOR2" files
@@ -38,9 +38,10 @@
 ///   offset table and the blob is what lets serve/mmap_store map the
 ///   file and serve queries straight off the encoded bytes.
 ///
-/// Durability: save_file writes a temp file, fsyncs, then renames into
-/// place, so a crash mid-save never leaves a torn store at the target
-/// path. Loads bounds-check every section before trusting it and throw
+/// Durability: save_file writes a temp file of its own, fsyncs, then
+/// renames into place, so neither a crash mid-save nor a concurrent save
+/// to the same path ever leaves a torn store at the target path. Loads
+/// bounds-check every section before trusting it and throw
 /// StoreCorruptionError (a std::runtime_error) with a typed diagnosis;
 /// recover_file salvages the intact node records of a corrupt file.
 ///
@@ -60,7 +61,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/engine.hpp"
 #include "core/oracle.hpp"
 #include "graph/graph.hpp"
 
@@ -106,7 +106,7 @@ enum class StoreFormat { kV2 = 2, kV3 = 3 };
 /// query path.
 class SketchStore final : public DistanceOracle {
  public:
-  /// An empty store (no nodes); fill via from_oracle/from_text/read.
+  /// An empty store (no nodes); fill via from_oracle/read.
   SketchStore() = default;
 
   /// Packs a sketch-backed oracle's payload. Throws std::runtime_error
@@ -116,16 +116,6 @@ class SketchStore final : public DistanceOracle {
   /// Whether from_oracle(oracle) would succeed — the one predicate the
   /// CLI and examples share to decide packed vs envelope shipping.
   static bool packable(const DistanceOracle& oracle);
-
-  /// Compat shim over from_oracle for engine callers.
-  static SketchStore from_engine(const SketchEngine& engine);
-
-  /// Converters bridging the text format of core/serialization.
-  /// from_text reads exactly what SketchEngine::save wrote; to_text writes
-  /// a file SketchEngine::load accepts (bunches come out in canonical
-  /// order, so text -> binary -> text is query-equivalent, not byte-equal).
-  static SketchStore from_text(std::istream& in);
-  void to_text(std::ostream& out) const;
 
   /// Binary round trip. read()/load_file() validate magic, version,
   /// header checksum (v2), structural sizes, and the payload checksum,
@@ -166,11 +156,8 @@ class SketchStore final : public DistanceOracle {
   /// Worst-case guarantee with the recorded k/epsilon filled in.
   std::string guarantee() const override;
   /// Capabilities of the packed family (no build cost: it was paid by
-  /// whoever built).
+  /// whoever built; no text save: write()/save_file() persist a store).
   Capabilities capabilities() const override;
-  /// DistanceOracle::save: writes the text envelope (to_text); the binary
-  /// format keeps its own write()/read() pair.
-  void save(std::ostream& out) const override { to_text(out); }
 
   /// The sketch family the store holds.
   Scheme store_scheme() const { return scheme_; }
@@ -181,8 +168,8 @@ class SketchStore final : public DistanceOracle {
   /// The slack/CDG epsilon recorded at build time (see epsilon_known()).
   double epsilon() const { return epsilon_; }
   /// False when the sketch came from a pre-epsilon text file: epsilon()
-  /// is then a default, not the recorded build value, and to_text()
-  /// writes the old header style to preserve that provenance.
+  /// is then a default, not the recorded build value, and write() keeps
+  /// the flag clear to preserve that provenance.
   bool epsilon_known() const { return epsilon_known_; }
   /// Packed segments (1 for tz/slack/cdg; one per level for graceful).
   std::size_t num_segments() const { return segments_.size(); }

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/engine.hpp"
+#include "core/sketch_oracle.hpp"
 #include "dynamics/failure_model.hpp"
 #include "graph/generators.hpp"
 
@@ -56,10 +56,10 @@ TEST(FailureModel, StaleSketchesUnderestimateAfterChurn) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 2;
-  const SketchEngine engine(g, cfg);  // built on the healthy graph
+  const SketchOracle stale(g, cfg);  // built on the healthy graph
   const Graph degraded = apply_failures(g, sample_edge_failures(g, 0.3, 3));
   const StalenessReport report = evaluate_staleness(
-      degraded, [&](NodeId u, NodeId v) { return engine.query(u, v); }, 10,
+      degraded, [&](NodeId u, NodeId v) { return stale.query(u, v); }, 10,
       7);
   EXPECT_GT(report.pairs, 0u);
   // Some pair's estimate now routes through a dead edge.
@@ -72,7 +72,7 @@ TEST(FailureModel, RebuiltSketchesRestoreGuarantee) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 2;
-  const SketchEngine rebuilt(degraded, cfg);
+  const SketchOracle rebuilt(degraded, cfg);
   const StalenessReport report = evaluate_staleness(
       degraded, [&](NodeId u, NodeId v) { return rebuilt.query(u, v); }, 10,
       7);

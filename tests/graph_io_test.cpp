@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/graph_io.hpp"
+#include "temp_path.hpp"
 
 namespace dsketch {
 namespace {
@@ -64,11 +66,12 @@ TEST(GraphIo, RejectsEmptyInput) {
 
 TEST(GraphIo, FileRoundTrip) {
   const Graph g = ring(16, {2, 9}, 5);
-  const std::string path = ::testing::TempDir() + "/dsketch_io_test.graph";
+  const std::string path = unique_temp_path("io.graph");
   write_graph_file(path, g);
   const Graph h = read_graph_file(path);
   EXPECT_EQ(h.num_nodes(), 16u);
   EXPECT_EQ(h.num_edges(), 16u);
+  std::remove(path.c_str());
 }
 
 TEST(GraphIo, MissingFileThrows) {
@@ -210,7 +213,7 @@ TEST(Ingest, RejectsMalformedInput) {
 }
 
 TEST(Ingest, FileEntryPointAndFormatNames) {
-  const std::string path = ::testing::TempDir() + "/dsketch_ingest_test.txt";
+  const std::string path = unique_temp_path("ingest.txt");
   {
     std::ofstream out(path);
     out << "# tiny\n0 1\n1 2\n";
@@ -218,6 +221,7 @@ TEST(Ingest, FileEntryPointAndFormatNames) {
   IngestStats stats;
   const Graph g =
       ingest_edge_list_file(path, parse_ingest_format("auto"), &stats);
+  std::remove(path.c_str());
   EXPECT_EQ(g.num_nodes(), 3u);
   EXPECT_EQ(stats.edge_lines, 2u);
   EXPECT_EQ(parse_ingest_format("snap"), IngestFormat::kSnap);

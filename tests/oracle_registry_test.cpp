@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <set>
 #include <sstream>
 
@@ -17,6 +18,7 @@
 #include "serve/query_service.hpp"
 #include "serve/sketch_store.hpp"
 #include "sketch/stretch_eval.hpp"
+#include "temp_path.hpp"
 
 namespace dsketch {
 namespace {
@@ -249,11 +251,11 @@ TEST(SketchStoreOracle, PacksFromOracleAndRejectsBaselines) {
 TEST(SketchStoreOracle, LoadOracleRoundTrip) {
   const Graph g = test_graph();
   const auto tz = OracleRegistry::instance().build("tz", g, test_flags());
-  const std::string path =
-      ::testing::TempDir() + "/oracle_registry_store.bin";
+  const std::string path = unique_temp_path("store.bin");
   SketchStore::from_oracle(*tz).save_file(path);
   const std::unique_ptr<DistanceOracle> oracle =
       SketchStore::load_oracle(path);
+  std::remove(path.c_str());
   ASSERT_NE(oracle, nullptr);
   EXPECT_EQ(oracle->scheme(), "tz");
   EXPECT_TRUE(oracle->capabilities().supports_paths);

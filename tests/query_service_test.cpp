@@ -15,7 +15,7 @@
 
 #include "baselines/exact_oracle.hpp"
 #include "baselines/landmark.hpp"
-#include "core/engine.hpp"
+#include "core/sketch_oracle.hpp"
 #include "graph/generators.hpp"
 #include "serve/sketch_store.hpp"
 #include "serve/workload.hpp"
@@ -39,7 +39,7 @@ SketchStore make_store(Scheme scheme, NodeId n = 90) {
   cfg.scheme = scheme;
   cfg.k = 2;
   cfg.epsilon = 0.25;
-  return SketchStore::from_engine(SketchEngine(g, cfg));
+  return SketchStore::from_oracle(SketchOracle(g, cfg));
 }
 
 std::vector<QueryService::Pair> all_pairs_sample(NodeId n) {
@@ -147,20 +147,6 @@ TEST(QueryService, SymmetricOracleCachesCanonically) {
   }
   // Every reverse-orientation query must have hit the forward entry.
   EXPECT_EQ(service.stats().cache_hits, pairs);
-
-  // The pre-fix behavior (ordered keys) misses every reverse query —
-  // kept reachable via force_ordered_keys so the delta stays measurable.
-  QueryService ordered(oracle, {.shards = 4,
-                                .threads = 1,
-                                .cache_capacity = 4096,
-                                .force_ordered_keys = true});
-  for (NodeId u = 0; u < g.num_nodes(); u += 3) {
-    for (NodeId v = u + 1; v < g.num_nodes(); v += 5) {
-      ordered.query(u, v);
-      ordered.query(v, u);
-    }
-  }
-  EXPECT_EQ(ordered.stats().cache_hits, 0u);
 }
 
 TEST(QueryService, AsymmetricOracleKeepsOrderedKeys) {
@@ -332,7 +318,6 @@ class FlakyOracle final : public DistanceOracle {
   Capabilities capabilities() const override {
     return inner_.capabilities();
   }
-  void save(std::ostream& out) const override { inner_.save(out); }
 
   void set_sick(bool sick) { sick_.store(sick, std::memory_order_relaxed); }
 
@@ -434,7 +419,7 @@ TEST(QueryServiceDegraded, FallbackOracleServesWhenNoPreviousGeneration) {
   BuildConfig bcfg;
   bcfg.scheme = Scheme::kThorupZwick;
   bcfg.k = 2;
-  const SketchStore store = SketchStore::from_engine(SketchEngine(g, bcfg));
+  const SketchStore store = SketchStore::from_oracle(SketchOracle(g, bcfg));
   FlakyOracle sick(store);
   sick.set_sick(true);
   const auto exact = std::make_shared<ExactOracle>(g);
@@ -488,7 +473,6 @@ TEST(QueryServiceDegraded, DeadlineOverrunsAreCountedAndServedDegraded) {
     std::string scheme() const override { return s_.scheme(); }
     std::string guarantee() const override { return s_.guarantee(); }
     Capabilities capabilities() const override { return s_.capabilities(); }
-    void save(std::ostream& out) const override { s_.save(out); }
 
    private:
     const SketchStore& s_;

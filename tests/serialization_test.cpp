@@ -2,8 +2,9 @@
 
 #include <sstream>
 
-#include "core/engine.hpp"
+#include "core/oracle_registry.hpp"
 #include "core/serialization.hpp"
+#include "core/sketch_oracle.hpp"
 #include "graph/generators.hpp"
 #include "sketch/hierarchy.hpp"
 #include "sketch/slack_sketch.hpp"
@@ -57,17 +58,17 @@ TEST_P(EngineRoundTrip, SaveLoadAnswersIdentically) {
   cfg.scheme = GetParam();
   cfg.k = 2;
   cfg.epsilon = 0.25;
-  const SketchEngine built(g, cfg);
+  const SketchOracle built(g, cfg);
   std::stringstream ss;
   built.save(ss);
-  const SketchEngine loaded = SketchEngine::load(ss);
+  const LoadedOracle loaded = OracleRegistry::instance().load(ss);
   for (NodeId u = 0; u < g.num_nodes(); u += 3) {
     for (NodeId v = u + 1; v < g.num_nodes(); v += 4) {
-      EXPECT_EQ(loaded.query(u, v), built.query(u, v));
+      EXPECT_EQ(loaded.oracle->query(u, v), built.query(u, v));
     }
-    EXPECT_EQ(loaded.size_words(u), built.size_words(u));
+    EXPECT_EQ(loaded.oracle->size_words(u), built.size_words(u));
   }
-  EXPECT_EQ(loaded.config().scheme, cfg.scheme);
+  EXPECT_EQ(loaded.oracle->scheme(), scheme_name(cfg.scheme));
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, EngineRoundTrip,
@@ -77,7 +78,7 @@ INSTANTIATE_TEST_SUITE_P(Schemes, EngineRoundTrip,
 
 TEST(Serialization, LoadedEngineRejectsGarbage) {
   std::stringstream ss("not a sketch file");
-  EXPECT_THROW(SketchEngine::load(ss), std::runtime_error);
+  EXPECT_THROW(OracleRegistry::instance().load(ss), std::runtime_error);
 }
 
 TEST(Serialization, HeaderPersistsEpsilonForFlagValidation) {
@@ -85,13 +86,14 @@ TEST(Serialization, HeaderPersistsEpsilonForFlagValidation) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kSlack;
   cfg.epsilon = 0.375;
-  const SketchEngine built(g, cfg);
+  const SketchOracle built(g, cfg);
   std::stringstream ss;
   built.save(ss);
-  const SketchEngine loaded = SketchEngine::load(ss);
-  EXPECT_EQ(loaded.config().scheme, Scheme::kSlack);
-  EXPECT_DOUBLE_EQ(loaded.config().epsilon, 0.375);
-  EXPECT_EQ(loaded.num_nodes(), g.num_nodes());
+  const LoadedOracle loaded = OracleRegistry::instance().load(ss);
+  const auto& sketch = dynamic_cast<const SketchOracle&>(*loaded.oracle);
+  EXPECT_EQ(sketch.config().scheme, Scheme::kSlack);
+  EXPECT_DOUBLE_EQ(sketch.config().epsilon, 0.375);
+  EXPECT_EQ(sketch.num_nodes(), g.num_nodes());
 }
 
 TEST(Serialization, LoadsHeadersWithoutEpsilonField) {
@@ -100,7 +102,7 @@ TEST(Serialization, LoadsHeadersWithoutEpsilonField) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 2;
-  const SketchEngine built(g, cfg);
+  const SketchOracle built(g, cfg);
   std::stringstream ss;
   built.save(ss);
   std::string text = ss.str();
@@ -108,9 +110,9 @@ TEST(Serialization, LoadsHeadersWithoutEpsilonField) {
   std::string header = text.substr(0, nl);
   header.resize(header.rfind(' '));  // drop the epsilon token
   std::stringstream old_format(header + text.substr(nl));
-  const SketchEngine loaded = SketchEngine::load(old_format);
+  const LoadedOracle loaded = OracleRegistry::instance().load(old_format);
   for (NodeId u = 0; u < g.num_nodes(); u += 2) {
-    EXPECT_EQ(loaded.query(u, (u + 7) % g.num_nodes()),
+    EXPECT_EQ(loaded.oracle->query(u, (u + 7) % g.num_nodes()),
               built.query(u, (u + 7) % g.num_nodes()));
   }
 }

@@ -2,15 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
-#include <memory>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
-#include "core/engine.hpp"
+#include "core/oracle_registry.hpp"
+#include "core/sketch_oracle.hpp"
 #include "dynamics/incremental.hpp"
 #include "graph/generators.hpp"
 #include "sketch/tz_centralized.hpp"
+#include "temp_path.hpp"
 
 namespace dsketch {
 namespace {
@@ -27,25 +33,25 @@ class SketchStoreSchemes : public ::testing::TestWithParam<Scheme> {
  protected:
   SketchStoreSchemes()
       : graph_(erdos_renyi(80, 0.08, {1, 9}, 17)),
-        engine_(graph_, config_for(GetParam())) {}
+        oracle_(graph_, config_for(GetParam())) {}
 
   Graph graph_;
-  SketchEngine engine_;
+  SketchOracle oracle_;
 };
 
 TEST_P(SketchStoreSchemes, PackedQueriesMatchEngineBitIdentically) {
-  const SketchStore store = SketchStore::from_engine(engine_);
+  const SketchStore store = SketchStore::from_oracle(oracle_);
   EXPECT_EQ(store.num_nodes(), graph_.num_nodes());
   for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
     for (NodeId v = u; v < graph_.num_nodes(); v += 3) {
-      EXPECT_EQ(store.query(u, v), engine_.query(u, v))
+      EXPECT_EQ(store.query(u, v), oracle_.query(u, v))
           << "pair " << u << "," << v;
     }
   }
 }
 
 TEST_P(SketchStoreSchemes, BinaryRoundTripPreservesEverything) {
-  const SketchStore store = SketchStore::from_engine(engine_);
+  const SketchStore store = SketchStore::from_oracle(oracle_);
   std::stringstream ss;
   store.write(ss);
   const SketchStore back = SketchStore::read(ss);
@@ -55,26 +61,28 @@ TEST_P(SketchStoreSchemes, BinaryRoundTripPreservesEverything) {
   EXPECT_DOUBLE_EQ(back.epsilon(), store.epsilon());
   for (NodeId u = 0; u < graph_.num_nodes(); u += 2) {
     for (NodeId v = u + 1; v < graph_.num_nodes(); v += 5) {
-      EXPECT_EQ(back.query(u, v), engine_.query(u, v));
+      EXPECT_EQ(back.query(u, v), oracle_.query(u, v));
     }
   }
 }
 
 TEST_P(SketchStoreSchemes, TextConvertersRoundTrip) {
-  // engine text -> store must answer like the engine...
+  // The text path of `dsketch convert`: the registry envelope that
+  // `dsketch build --save` writes, loaded back through the registry, must
+  // pack into exactly the store bytes of the built oracle.
   std::stringstream text;
-  engine_.save(text);
-  const SketchStore store = SketchStore::from_text(text);
-  // ...and store -> text must load back into an equivalent engine.
-  std::stringstream text2;
-  store.to_text(text2);
-  const SketchEngine reloaded = SketchEngine::load(text2);
-  EXPECT_EQ(reloaded.config().scheme, engine_.config().scheme);
-  for (NodeId u = 0; u < graph_.num_nodes(); u += 3) {
-    for (NodeId v = u + 1; v < graph_.num_nodes(); v += 4) {
-      EXPECT_EQ(store.query(u, v), engine_.query(u, v));
-      EXPECT_EQ(reloaded.query(u, v), engine_.query(u, v));
-    }
+  oracle_.save(text);
+  const LoadedOracle loaded = OracleRegistry::instance().load(text);
+  ASSERT_NE(loaded.oracle, nullptr);
+  const SketchStore converted = SketchStore::from_oracle(*loaded.oracle);
+  const SketchStore built = SketchStore::from_oracle(oracle_);
+  for (const StoreFormat format : {StoreFormat::kV3, StoreFormat::kV2}) {
+    std::stringstream converted_bytes;
+    std::stringstream built_bytes;
+    converted.write(converted_bytes, format);
+    built.write(built_bytes, format);
+    EXPECT_EQ(converted_bytes.str(), built_bytes.str())
+        << "format v" << static_cast<int>(format);
   }
 }
 
@@ -90,9 +98,8 @@ class SketchStoreCorruption : public ::testing::Test {
     BuildConfig cfg;
     cfg.scheme = Scheme::kThorupZwick;
     cfg.k = 2;
-    const SketchEngine engine(g, cfg);
     std::stringstream ss;
-    SketchStore::from_engine(engine).write(ss, format);
+    SketchStore::from_oracle(SketchOracle(g, cfg)).write(ss, format);
     return ss.str();
   }
 };
@@ -207,9 +214,8 @@ class SketchStoreRecovery : public ::testing::Test {
     BuildConfig cfg;
     cfg.scheme = Scheme::kThorupZwick;
     cfg.k = 2;
-    engine_ = std::make_unique<SketchEngine>(graph_, cfg);
-    store_ = SketchStore::from_engine(*engine_);
-    path_ = ::testing::TempDir() + "/dsketch_recovery_test.bin";
+    store_ = SketchStore::from_oracle(SketchOracle(graph_, cfg));
+    path_ = unique_temp_path("recovery.bin");
     // The byte-offset map below is the fixed-width v2 layout; these tests
     // double as legacy-format recovery coverage (store_v3_test has the v3
     // counterparts).
@@ -222,6 +228,8 @@ class SketchStoreRecovery : public ::testing::Test {
     n_ = store_.num_nodes();
     arena_start_ = 64 + 8 + 8 + 8 * (n_ + 1) + 8;
   }
+
+  void TearDown() override { std::filesystem::remove(path_); }
 
   std::uint64_t offset_of(NodeId u) const {
     const std::size_t pos = 64 + 16 + 8 * u;
@@ -240,7 +248,6 @@ class SketchStoreRecovery : public ::testing::Test {
   }
 
   Graph graph_;
-  std::unique_ptr<SketchEngine> engine_;
   SketchStore store_;
   std::string path_;
   std::string bytes_;
@@ -324,10 +331,9 @@ TEST(SketchStoreRecoveryGraceful, TailTruncationKeepsEarlierLevels) {
   cfg.scheme = Scheme::kGraceful;
   cfg.k = 2;
   cfg.epsilon = 0.25;
-  const SketchEngine engine(g, cfg);
-  const SketchStore store = SketchStore::from_engine(engine);
+  const SketchStore store = SketchStore::from_oracle(SketchOracle(g, cfg));
   ASSERT_GE(store.num_segments(), 2u);
-  const std::string path = ::testing::TempDir() + "/dsketch_graceful_rec.bin";
+  const std::string path = unique_temp_path("graceful_rec.bin");
   store.save_file(path);
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -344,34 +350,105 @@ TEST(SketchStoreRecoveryGraceful, TailTruncationKeepsEarlierLevels) {
       EXPECT_GE(rec.store.query(u, v), store.query(u, v));
     }
   }
+  std::filesystem::remove(path);
+}
+
+/// Names in `dir` other than `keep`: what a save left behind.
+std::vector<std::string> leftovers(const std::string& dir,
+                                   const std::string& keep) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name != keep) names.push_back(name);
+  }
+  return names;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
 TEST(SketchStoreAtomicSave, OverwriteLeavesNoTempAndOldOrNewStore) {
   // save_file over an existing store must go through the temp+rename
-  // dance: afterwards the temp file is gone and the target parses clean.
+  // dance: afterwards no temp file is left and the target parses clean.
   const Graph g = ring(20, {1, 3}, 11);
   BuildConfig cfg;
   cfg.scheme = Scheme::kThorupZwick;
   cfg.k = 2;
-  const SketchEngine engine(g, cfg);
-  const SketchStore store = SketchStore::from_engine(engine);
-  const std::string path = ::testing::TempDir() + "/dsketch_atomic_test.bin";
+  const SketchStore store = SketchStore::from_oracle(SketchOracle(g, cfg));
+  const std::string dir = unique_temp_path("atomic");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/store.bin";
   store.save_file(path);
   store.save_file(path);  // overwrite in place
-  std::ifstream tmp(path + ".tmp");
-  EXPECT_FALSE(tmp.good()) << "temp file left behind";
+  EXPECT_TRUE(leftovers(dir, "store.bin").empty()) << "temp file left behind";
   const SketchStore back = SketchStore::load_file(path);
   EXPECT_EQ(back.num_nodes(), store.num_nodes());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SketchStoreAtomicSave, ConcurrentSavesToOnePathNeverTear) {
+  // Two writers publish different stores to one path at the same time.
+  // Each save must write a temp file of its own, so whichever rename
+  // lands last leaves one complete store, byte for byte, and no temp
+  // file survives either writer.
+  const Graph g = erdos_renyi(300, 0.03, {1, 9}, 13);
+  BuildConfig tz;
+  tz.scheme = Scheme::kThorupZwick;
+  tz.k = 2;
+  BuildConfig slack;
+  slack.scheme = Scheme::kSlack;
+  slack.epsilon = 0.25;
+  const SketchStore a = SketchStore::from_oracle(SketchOracle(g, tz));
+  const SketchStore b = SketchStore::from_oracle(SketchOracle(g, slack));
+  std::stringstream a_bytes;
+  std::stringstream b_bytes;
+  a.write(a_bytes);
+  b.write(b_bytes);
+  ASSERT_NE(a_bytes.str(), b_bytes.str());
+
+  const std::string dir = unique_temp_path("concurrent");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/store.bin";
+  const auto saves = [&path](const SketchStore& store) {
+    try {
+      for (int i = 0; i < 4; ++i) store.save_file(path);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "concurrent save failed: " << e.what();
+    }
+  };
+  for (int round = 0; round < 8; ++round) {
+    std::thread writer_a(saves, std::cref(a));
+    std::thread writer_b(saves, std::cref(b));
+    writer_a.join();
+    writer_b.join();
+    const std::string bytes = file_bytes(path);
+    EXPECT_TRUE(bytes == a_bytes.str() || bytes == b_bytes.str())
+        << "round " << round << ": the published store is torn";
+    const SketchStore back = SketchStore::load_file(path);
+    const SketchStore& expected = back.scheme() == "tz" ? a : b;
+    for (NodeId u = 0; u < g.num_nodes(); u += 7) {
+      for (NodeId v = u; v < g.num_nodes(); v += 11) {
+        EXPECT_EQ(back.query(u, v), expected.query(u, v));
+      }
+    }
+    EXPECT_TRUE(leftovers(dir, "store.bin").empty())
+        << "round " << round << ": temp file left behind";
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SketchStoreProvenance, UnknownEpsilonSurvivesConversion) {
-  // A pre-epsilon text file must not come out of a conversion round trip
-  // with a fabricated epsilon claim.
+  // A pre-epsilon text file must not come out of conversion (registry
+  // load, then pack) with a fabricated epsilon claim, and the binary
+  // store must keep the claim cleared through write/read.
   const Graph g = ring(24, {1, 3}, 6);
   BuildConfig cfg;
   cfg.scheme = Scheme::kSlack;
   cfg.epsilon = 0.25;
-  const SketchEngine built(g, cfg);
+  const SketchOracle built(g, cfg);
   std::stringstream ss;
   built.save(ss);
   std::string text = ss.str();
@@ -380,27 +457,20 @@ TEST(SketchStoreProvenance, UnknownEpsilonSurvivesConversion) {
   header.resize(header.rfind(' '));  // strip the epsilon token
   std::stringstream old_format(header + text.substr(nl));
 
-  const SketchStore store = SketchStore::from_text(old_format);
+  const SketchStore store = SketchStore::from_oracle(
+      *OracleRegistry::instance().load(old_format).oracle);
   EXPECT_FALSE(store.epsilon_known());
   std::stringstream bin;
   store.write(bin);
   const SketchStore reloaded = SketchStore::read(bin);
   EXPECT_FALSE(reloaded.epsilon_known());
-  std::stringstream text2;
-  reloaded.to_text(text2);
-  // The regenerated header must be the old style again (4 tokens, no
-  // epsilon claim), and still load.
-  std::string first_line;
-  std::getline(text2, first_line);
-  EXPECT_EQ(first_line, header);
-  std::stringstream full(text2.str());
-  EXPECT_FALSE(SketchStore::from_text(full).epsilon_known());
 
   // A normally saved sketch keeps its recorded epsilon through the same
   // trip.
   std::stringstream fresh;
   built.save(fresh);
-  const SketchStore recorded = SketchStore::from_text(fresh);
+  const SketchStore recorded = SketchStore::from_oracle(
+      *OracleRegistry::instance().load(fresh).oracle);
   EXPECT_TRUE(recorded.epsilon_known());
   EXPECT_DOUBLE_EQ(recorded.epsilon(), 0.25);
 }
@@ -410,17 +480,18 @@ TEST(SketchStoreFiles, SaveAndLoadFile) {
   BuildConfig cfg;
   cfg.scheme = Scheme::kSlack;
   cfg.epsilon = 0.3;
-  const SketchEngine engine(g, cfg);
-  const SketchStore store = SketchStore::from_engine(engine);
-  const std::string path = ::testing::TempDir() + "/dsketch_store_test.bin";
+  const SketchOracle built(g, cfg);
+  const SketchStore store = SketchStore::from_oracle(built);
+  const std::string path = unique_temp_path("store.bin");
   store.save_file(path);
   const SketchStore back = SketchStore::load_file(path);
   for (NodeId u = 0; u < g.num_nodes(); u += 2) {
     for (NodeId v = u; v < g.num_nodes(); v += 3) {
-      EXPECT_EQ(back.query(u, v), engine.query(u, v));
+      EXPECT_EQ(back.query(u, v), built.query(u, v));
     }
   }
   EXPECT_THROW(SketchStore::load_file(path + ".missing"), std::runtime_error);
+  std::filesystem::remove(path);
 }
 
 TEST(SketchStorePacking, TzLabelOraclePacksAndAnswersIdentically) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -15,12 +16,13 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "core/sketch_oracle.hpp"
 #include "graph/generators.hpp"
 #include "serve/label_codec.hpp"
 #include "serve/mmap_store.hpp"
 #include "serve/sketch_store.hpp"
 #include "serve/store_format.hpp"
+#include "temp_path.hpp"
 
 namespace dsketch {
 namespace {
@@ -162,19 +164,14 @@ BuildConfig config_for(Scheme scheme) {
   return cfg;
 }
 
-std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 class StoreV3Schemes : public ::testing::TestWithParam<Scheme> {
  protected:
   StoreV3Schemes()
       : graph_(erdos_renyi(80, 0.08, {1, 9}, 17)),
-        engine_(graph_, config_for(GetParam())),
-        store_(SketchStore::from_engine(engine_)) {}
+        store_(SketchStore::from_oracle(
+            SketchOracle(graph_, config_for(GetParam())))) {}
 
   Graph graph_;
-  SketchEngine engine_;
   SketchStore store_;
 };
 
@@ -201,7 +198,7 @@ TEST_P(StoreV3Schemes, V2V3V2WriteIsByteIdentical) {
 }
 
 TEST_P(StoreV3Schemes, MmapAnswersMatchHeapByteForByte) {
-  const std::string path = temp_path("dsketch_v3_mmap.bin");
+  const std::string path = unique_temp_path("v3_mmap.bin");
   store_.save_file(path, StoreFormat::kV3);
   const SketchStore heap = SketchStore::load_file(path);
   const auto mapped = MmapSketchStore::open(path, /*verify_checksum=*/true);
@@ -218,10 +215,11 @@ TEST_P(StoreV3Schemes, MmapAnswersMatchHeapByteForByte) {
           << "pair " << u << "," << v;
     }
   }
+  std::filesystem::remove(path);
 }
 
 TEST_P(StoreV3Schemes, MmapRejectsLegacyFormats) {
-  const std::string path = temp_path("dsketch_v2_for_mmap.bin");
+  const std::string path = unique_temp_path("v2_for_mmap.bin");
   store_.save_file(path, StoreFormat::kV2);
   try {
     MmapSketchStore::open(path);
@@ -229,10 +227,11 @@ TEST_P(StoreV3Schemes, MmapRejectsLegacyFormats) {
   } catch (const StoreCorruptionError& e) {
     EXPECT_EQ(e.kind(), StoreError::kUnsupportedVersion);
   }
+  std::filesystem::remove(path);
 }
 
 TEST_P(StoreV3Schemes, LegacyV2StillLoadsThroughTheHeapPath) {
-  const std::string path = temp_path("dsketch_v2_compat.bin");
+  const std::string path = unique_temp_path("v2_compat.bin");
   store_.save_file(path, StoreFormat::kV2);
   const SketchStore back = SketchStore::load_file(path);
   for (NodeId u = 0; u < graph_.num_nodes(); u += 2) {
@@ -240,6 +239,7 @@ TEST_P(StoreV3Schemes, LegacyV2StillLoadsThroughTheHeapPath) {
       EXPECT_EQ(back.query(u, v), store_.query(u, v));
     }
   }
+  std::filesystem::remove(path);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, StoreV3Schemes,
@@ -257,10 +257,9 @@ class StoreV3Corruption : public ::testing::Test {
     BuildConfig cfg;
     cfg.scheme = Scheme::kThorupZwick;
     cfg.k = 2;
-    engine_ = std::make_unique<SketchEngine>(graph_, cfg);
-    store_ = SketchStore::from_engine(*engine_);
+    store_ = SketchStore::from_oracle(SketchOracle(graph_, cfg));
     n_ = store_.num_nodes();
-    path_ = temp_path("dsketch_v3_corruption.bin");
+    path_ = unique_temp_path("v3_corruption.bin");
     store_.save_file(path_, StoreFormat::kV3);
     std::ifstream in(path_, std::ios::binary);
     bytes_.assign(std::istreambuf_iterator<char>(in),
@@ -276,6 +275,8 @@ class StoreV3Corruption : public ::testing::Test {
     ASSERT_EQ(offset_of(0), 0u);
     ASSERT_EQ(offset_of(n_), blob_bytes_);
   }
+
+  void TearDown() override { std::filesystem::remove(path_); }
 
   std::uint64_t u64_at(std::size_t pos) const {
     std::uint64_t x = 0;
@@ -297,7 +298,6 @@ class StoreV3Corruption : public ::testing::Test {
   }
 
   Graph graph_;
-  std::unique_ptr<SketchEngine> engine_;
   SketchStore store_;
   std::string path_;
   std::string bytes_;

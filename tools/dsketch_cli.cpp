@@ -95,14 +95,13 @@ int usage() {
                "  list-schemes   (every registered oracle scheme with its "
                "guarantee and capabilities)\n"
                "  convert --in FILE --out FILE [--format v2|v3]   "
-               "(text <-> binary store, direction auto-detected from the "
-               "input magic; --format forces a binary store in that layout, "
-               "including binary -> binary re-encoding)\n"
+               "(text envelope or binary store in, binary store out, v3 "
+               "unless --format says otherwise)\n"
                "  serve-bench (--store FILE [--mmap [--verify-checksum]] | "
                "--graph FILE --scheme NAME) "
                "[--queries N] [--batch B,B,...] [--threads T,T,...] "
                "[--shards S] [--cache C] [--workload uniform|zipf] "
-               "[--zipf-s S] [--hot-pairs H] [--mirror] [--ordered-keys] "
+               "[--zipf-s S] [--hot-pairs H] [--mirror] "
                "[--seed S] [--verify N] [--metrics-out FILE] "
                "[--trace-out FILE]\n"
                "  metrics-dump (--store FILE | --graph FILE --scheme NAME) "
@@ -412,6 +411,8 @@ StoreFormat parse_store_format(const std::string& name) {
 int cmd_convert(const FlagSet& flags) {
   const std::string in_path = flags.require("in");
   const std::string out_path = flags.require("out");
+  const StoreFormat format =
+      parse_store_format(flags.get("format", std::string("v3")));
   std::ifstream in(in_path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open --in file: " + in_path);
   char magic[8] = {};
@@ -419,36 +420,20 @@ int cmd_convert(const FlagSet& flags) {
   in.clear();
   in.seekg(0);
   const bool input_is_binary = std::string(magic, 7) == "DSKSTOR";
-  // --format forces a binary output (v2 fixed-width or v3 delta+varint),
-  // which also makes binary -> binary re-encoding — upgrading a v1/v2
-  // store to the mmap-servable v3 layout, or downgrading — a one-liner.
-  if (flags.has("format")) {
-    const StoreFormat format =
-        parse_store_format(flags.get("format", std::string("v3")));
-    const SketchStore store = input_is_binary
-                                  ? SketchStore::read(in)
-                                  : SketchStore::from_text(in);
-    store.save_file(out_path, format);
-    std::printf("converted %s %s -> %s binary store %s (%zu bytes)\n",
-                input_is_binary ? "binary" : "text", in_path.c_str(),
-                format == StoreFormat::kV3 ? "v3" : "v2", out_path.c_str(),
-                format == StoreFormat::kV3 ? store.encoded_bytes()
-                                           : store.payload_bytes());
-    return 0;
-  }
-  if (input_is_binary) {
-    const SketchStore store = SketchStore::read(in);
-    std::ofstream out(out_path);
-    if (!out) throw std::runtime_error("cannot open --out file: " + out_path);
-    store.to_text(out);
-    std::printf("converted binary store %s -> text %s\n", in_path.c_str(),
-                out_path.c_str());
-  } else {
-    const SketchStore store = SketchStore::from_text(in);
-    store.save_file(out_path);
-    std::printf("converted text %s -> binary store %s (%zu payload bytes)\n",
-                in_path.c_str(), out_path.c_str(), store.payload_bytes());
-  }
+  // Text input is the registry envelope `build --save` writes, packed the
+  // way `build --store` packs the built oracle. Binary input of any store
+  // version is re-encoded: upgrading a v1/v2 store to the mmap-servable
+  // v3 layout, or downgrading with --format v2.
+  const SketchStore store =
+      input_is_binary ? SketchStore::read(in)
+                      : SketchStore::from_oracle(
+                            *OracleRegistry::instance().load(in).oracle);
+  store.save_file(out_path, format);
+  std::printf("converted %s %s -> %s binary store %s (%zu bytes)\n",
+              input_is_binary ? "binary" : "text", in_path.c_str(),
+              format == StoreFormat::kV3 ? "v3" : "v2", out_path.c_str(),
+              format == StoreFormat::kV3 ? store.encoded_bytes()
+                                         : store.payload_bytes());
   return 0;
 }
 
@@ -534,9 +519,6 @@ int cmd_serve_bench(const FlagSet& flags) {
       cfg.shards = static_cast<std::size_t>(shards);
       cfg.threads = static_cast<std::size_t>(threads);
       cfg.cache_capacity = static_cast<std::size_t>(cache);
-      // Debug A/B: measure the hit-rate cost of ordered cache keys on a
-      // symmetric oracle (the pre-canonical-key behavior).
-      cfg.force_ordered_keys = flags.get_bool("ordered-keys");
       QueryService service(*oracle, cfg);
       WorkloadGenerator gen(oracle->num_nodes(), wl);
 
