@@ -141,7 +141,6 @@ int run_e12(const FlagSet& flags, std::ostream& out) {
       .add("n", static_cast<std::uint64_t>(n))
       .add("k", k)
       .add("build_seconds", build_seconds)
-      .add("store_payload_bytes", store.payload_bytes())
       .add("store_encoded_bytes", store.encoded_bytes())
       .add("word_model_bytes_per_node",
            4.0 * store.mean_size_words())

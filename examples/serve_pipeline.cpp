@@ -64,10 +64,10 @@ int main() {
     std::size_t shipped_bytes = 0;
     packed = SketchStore::packable(*oracle);
     if (packed) {
-      // Sketch schemes: pack the binary serving representation.
+      // Sketch schemes: ship the binary serving store.
       const SketchStore store = SketchStore::from_oracle(*oracle);
       store.save_file(store_path());
-      shipped_bytes = store.payload_bytes();
+      shipped_bytes = store.encoded_bytes();
     } else {
       // Baselines: no packed form — ship the text envelope instead.
       std::ofstream out(store_path());

@@ -70,7 +70,7 @@ void write_slack_sketches(std::ostream& out, const SlackSketchSet& set,
   out << '\n';
   for (NodeId u = 0; u < n; ++u) {
     for (std::size_t i = 0; i < net.size(); ++i) {
-      out << set.net_dist(u, i) << (i + 1 == net.size() ? '\n' : ' ');
+      out << set.row(u)[i] << (i + 1 == net.size() ? '\n' : ' ');
     }
     if (net.empty()) out << '\n';
   }

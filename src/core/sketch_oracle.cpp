@@ -31,6 +31,7 @@ BuildConfig sketch_build_config(Scheme scheme, const FlagSet& flags) {
 
 SketchOracle::SketchOracle(const Graph& g, const BuildConfig& config)
     : config_(config), n_(g.num_nodes()) {
+  payload_.scheme = config.scheme;
   const obs::Span build_span("sketch_oracle_build",
                              static_cast<std::uint64_t>(n_));
   switch (config.scheme) {
@@ -45,7 +46,7 @@ SketchOracle::SketchOracle(const Graph& g, const BuildConfig& config)
           build_tz_distributed(g, h, config.termination, config.sim);
       cost_ = r.stats;
       cost_ += r.tree_stats;
-      tz_labels_ = std::move(r.labels);
+      payload_.tz = std::move(r.labels);
       break;
     }
     case Scheme::kSlack: {
@@ -53,7 +54,7 @@ SketchOracle::SketchOracle(const Graph& g, const BuildConfig& config)
       SlackSketchResult r =
           build_slack_sketches(g, config.epsilon, config.seed, config.sim);
       cost_ = r.stats;
-      slack_ = std::move(r.sketches);
+      payload_.slack = std::move(r.sketches);
       break;
     }
     case Scheme::kCdg: {
@@ -65,7 +66,7 @@ SketchOracle::SketchOracle(const Graph& g, const BuildConfig& config)
       cdg.termination = config.termination;
       CdgBuildResult r = build_cdg_sketches(g, cdg, config.sim);
       cost_ = r.total();
-      cdg_ = std::move(r.sketches);
+      payload_.cdg = std::move(r.sketches);
       break;
     }
     case Scheme::kGraceful: {
@@ -75,38 +76,52 @@ SketchOracle::SketchOracle(const Graph& g, const BuildConfig& config)
       gc.termination = config.termination;
       GracefulBuildResult r = build_graceful_sketches(g, gc, config.sim);
       cost_ = r.total;
-      graceful_ = std::move(r.sketches);
+      payload_.graceful = std::move(r.sketches);
       break;
     }
   }
 }
 
-Dist SketchOracle::query(NodeId u, NodeId v) const {
-  DS_CHECK(u < n_ && v < n_);
-  switch (config_.scheme) {
+std::size_t SketchPayload::size_words(NodeId u) const {
+  switch (scheme) {
     case Scheme::kThorupZwick:
-      return tz_query(tz_labels_.view(u), tz_labels_.view(v));
+      return tz.size_words(u);
     case Scheme::kSlack:
-      return slack_.query(u, v);
+      return slack.size_words(u);
     case Scheme::kCdg:
-      return cdg_.query(u, v);
+      return cdg.size_words(u);
     case Scheme::kGraceful:
-      return graceful_.query(u, v);
+      return graceful.size_words(u);
   }
-  return kInfDist;
+  return 0;
 }
 
-std::size_t SketchOracle::size_words(NodeId u) const {
-  DS_CHECK(u < n_);
-  switch (config_.scheme) {
+std::size_t SketchPayload::resident_bytes() const {
+  const auto cdg_bytes = [](const CdgSketchSet& set) {
+    std::size_t bytes = set.num_nodes() * sizeof(CdgSketchSet::NodeSketch);
+    for (NodeId u = 0; u < set.num_nodes(); ++u) {
+      const TzLabelBuilder& label = set.sketch(u).label;
+      bytes += label.levels() * sizeof(DistKey) +
+               label.bunch().size() * sizeof(BunchEntry);
+    }
+    return bytes;
+  };
+  switch (scheme) {
     case Scheme::kThorupZwick:
-      return tz_labels_.size_words(u);
+      return tz.resident_bytes();
     case Scheme::kSlack:
-      return slack_.size_words(u);
+      return slack.net().size() * sizeof(NodeId) +
+             slack.num_nodes() * (sizeof(std::vector<Dist>) +
+                                  slack.net().size() * sizeof(Dist));
     case Scheme::kCdg:
-      return cdg_.size_words(u);
-    case Scheme::kGraceful:
-      return graceful_.size_words(u);
+      return cdg_bytes(cdg);
+    case Scheme::kGraceful: {
+      std::size_t bytes = 0;
+      for (std::size_t i = 0; i < graceful.num_levels(); ++i) {
+        bytes += cdg_bytes(graceful.level(i));
+      }
+      return bytes;
+    }
   }
   return 0;
 }
@@ -166,16 +181,16 @@ Capabilities SketchOracle::capabilities() const {
 void SketchOracle::save_payload(std::ostream& out) const {
   switch (config_.scheme) {
     case Scheme::kThorupZwick:
-      write_tz_labels(out, tz_labels_);
+      write_tz_labels(out, payload_.tz);
       return;
     case Scheme::kSlack:
-      write_slack_sketches(out, slack_, n_);
+      write_slack_sketches(out, payload_.slack, n_);
       return;
     case Scheme::kCdg:
-      write_cdg_sketches(out, cdg_, n_);
+      write_cdg_sketches(out, payload_.cdg, n_);
       return;
     case Scheme::kGraceful:
-      write_graceful_sketches(out, graceful_, n_);
+      write_graceful_sketches(out, payload_.graceful, n_);
       return;
   }
 }
@@ -190,20 +205,21 @@ std::unique_ptr<SketchOracle> SketchOracle::load_payload(
   if (envelope.epsilon_recorded) oracle->config_.epsilon = envelope.epsilon;
   if (envelope.scheme == "tz") {
     oracle->config_.scheme = Scheme::kThorupZwick;
-    oracle->tz_labels_ = read_tz_labels(in);
+    oracle->payload_.tz = read_tz_labels(in);
   } else if (envelope.scheme == "slack") {
     oracle->config_.scheme = Scheme::kSlack;
-    oracle->slack_ = read_slack_sketches(in);
+    oracle->payload_.slack = read_slack_sketches(in);
   } else if (envelope.scheme == "cdg") {
     oracle->config_.scheme = Scheme::kCdg;
-    oracle->cdg_ = read_cdg_sketches(in);
+    oracle->payload_.cdg = read_cdg_sketches(in);
   } else if (envelope.scheme == "graceful") {
     oracle->config_.scheme = Scheme::kGraceful;
-    oracle->graceful_ = read_graceful_sketches(in);
+    oracle->payload_.graceful = read_graceful_sketches(in);
   } else {
     throw std::runtime_error("unknown sketch scheme in envelope: " +
                              envelope.scheme);
   }
+  oracle->payload_.scheme = oracle->config_.scheme;
   // The payload carries its own record counts; the envelope's n must
   // agree or queries would index past the loaded vectors (the CLI
   // bounds-checks against num_nodes(), which is envelope-derived).
@@ -217,17 +233,18 @@ std::unique_ptr<SketchOracle> SketchOracle::load_payload(
   };
   switch (oracle->config_.scheme) {
     case Scheme::kThorupZwick:
-      check_count(oracle->tz_labels_.num_nodes());
+      check_count(oracle->payload_.tz.num_nodes());
       break;
     case Scheme::kSlack:
-      check_count(oracle->slack_.num_nodes());
+      check_count(oracle->payload_.slack.num_nodes());
       break;
     case Scheme::kCdg:
-      check_count(oracle->cdg_.num_nodes());
+      check_count(oracle->payload_.cdg.num_nodes());
       break;
     case Scheme::kGraceful:
-      for (std::size_t i = 0; i < oracle->graceful_.num_levels(); ++i) {
-        check_count(oracle->graceful_.level(i).num_nodes());
+      for (std::size_t i = 0; i < oracle->payload_.graceful.num_levels();
+           ++i) {
+        check_count(oracle->payload_.graceful.level(i).num_nodes());
       }
       break;
   }

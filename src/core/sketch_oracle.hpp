@@ -13,8 +13,9 @@
 //   oracle.size_words(3);     // sketch words stored at node 3
 //
 // save() writes the registry's text envelope; OracleRegistry::load reads
-// it back. The payloads themselves stay private — the packed serving
-// store (serve/sketch_store) is a friend so it can re-encode them.
+// it back. The payload (SketchPayload) stays private — the heap serving
+// store (serve/sketch_store) is a friend so it can copy and encode it,
+// and answers through the same SketchPayload::query.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,7 @@
 #include "sketch/graceful_sketch.hpp"
 #include "sketch/slack_sketch.hpp"
 #include "sketch/tz_label.hpp"
+#include "util/assert.hpp"
 
 namespace dsketch {
 
@@ -52,6 +54,37 @@ std::string sketch_guarantee(Scheme scheme, std::uint32_t k, double epsilon);
 /// k; shared by SketchOracle and SketchStore.
 Capabilities sketch_capabilities(Scheme scheme, std::uint32_t k);
 
+/// The data of one sketch set: exactly one member is populated, per
+/// `scheme`. The one query and size dispatch over the four families,
+/// shared by SketchOracle (which builds it) and the heap SketchStore
+/// (which copies it from an oracle or decodes it from a store file).
+struct SketchPayload {
+  Scheme scheme = Scheme::kThorupZwick;
+  LabelArena tz;
+  SlackSketchSet slack;
+  CdgSketchSet cdg;
+  GracefulSketchSet graceful;
+
+  Dist query(NodeId u, NodeId v) const {
+    switch (scheme) {
+      case Scheme::kThorupZwick:
+        return tz_query(tz.view(u), tz.view(v));
+      case Scheme::kSlack:
+        return slack.query(u, v);
+      case Scheme::kCdg:
+        return cdg.query(u, v);
+      case Scheme::kGraceful:
+        return graceful.query(u, v);
+    }
+    return kInfDist;
+  }
+  /// The paper's word model: LabelView::size_words, plus 2 for a CDG
+  /// prefix, 2 per net node for slack.
+  std::size_t size_words(NodeId u) const;
+  /// Bytes the populated member holds in memory.
+  std::size_t resident_bytes() const;
+};
+
 /// One built sketch set of any of the four families.
 class SketchOracle final : public DistanceOracle {
  public:
@@ -59,9 +92,15 @@ class SketchOracle final : public DistanceOracle {
   SketchOracle(const Graph& g, const BuildConfig& config);
 
   // DistanceOracle interface.
-  Dist query(NodeId u, NodeId v) const override;
+  Dist query(NodeId u, NodeId v) const override {
+    DS_CHECK(u < n_ && v < n_);
+    return payload_.query(u, v);
+  }
   NodeId num_nodes() const override { return n_; }
-  std::size_t size_words(NodeId u) const override;
+  std::size_t size_words(NodeId u) const override {
+    DS_CHECK(u < n_);
+    return payload_.size_words(u);
+  }
   std::string scheme() const override { return scheme_name(config_.scheme); }
   std::string guarantee() const override;
   Capabilities capabilities() const override;
@@ -87,7 +126,7 @@ class SketchOracle final : public DistanceOracle {
   double envelope_epsilon() const override { return config_.epsilon; }
 
  private:
-  /// Packs the payloads into the binary serving arena.
+  /// Copies the payload into the heap serving store.
   friend class SketchStore;
 
   SketchOracle() = default;  // used by load_payload()
@@ -101,12 +140,7 @@ class SketchOracle final : public DistanceOracle {
   NodeId n_ = 0;
   SimStats cost_;
   bool cost_available_ = true;  ///< false for envelope-loaded sketches
-
-  // Exactly one of these is populated, per config_.scheme.
-  LabelArena tz_labels_;
-  SlackSketchSet slack_;
-  CdgSketchSet cdg_;
-  GracefulSketchSet graceful_;
+  SketchPayload payload_;  ///< payload_.scheme == config_.scheme
 };
 
 /// Registers the four sketch families ("tz", "slack", "cdg", "graceful").

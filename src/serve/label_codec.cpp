@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "serve/packed_record.hpp"
-
 namespace dsketch {
 
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t x) {
@@ -34,132 +32,39 @@ bool decode_id(std::uint64_t v, std::uint32_t* id) {
 std::uint64_t encode_dist(Dist d) { return d + 1; }
 Dist decode_dist(std::uint64_t v) { return v - 1; }
 
-void encode_tz(const std::uint32_t* rec, std::vector<std::uint8_t>& out) {
-  const packed::PackedLabel l{rec};
-  put_varint(out, l.levels());
-  put_varint(out, l.bunch_count());
+}  // namespace
+
+void encode_tz_record(const LabelView& label, std::vector<std::uint8_t>& out) {
+  put_varint(out, label.levels);
+  put_varint(out, label.count);
   Dist prev_dist = 0;
-  for (std::uint32_t i = 0; i < l.levels(); ++i) {
-    put_varint(out, encode_id(l.pivot_id(i)));
-    const Dist d = l.pivot_dist(i);
+  for (std::uint32_t i = 0; i < label.levels; ++i) {
+    put_varint(out, encode_id(label.pivots[i].id));
+    const Dist d = label.pivots[i].dist;
     put_varint(out, zigzag64(d - prev_dist));
     prev_dist = d;
   }
-  const std::uint32_t* b = l.bunch();
   std::uint64_t prev_node = 0;
-  for (std::uint32_t e = 0; e < l.bunch_count(); ++e) {
-    const std::uint64_t node = b[packed::kBunchStride * e];
-    put_varint(out, zigzag64(node - prev_node));
-    prev_node = node;
-    put_varint(out, b[packed::kBunchStride * e + 1]);
-    put_varint(out, packed::read_dist(b + packed::kBunchStride * e + 2));
+  for (std::uint32_t e = 0; e < label.count; ++e) {
+    const BunchEntry& entry = label.bunch[e];
+    put_varint(out, zigzag64(entry.node - prev_node));
+    prev_node = entry.node;
+    put_varint(out, entry.level);
+    put_varint(out, entry.dist);
   }
 }
 
-bool decode_tz(VarintReader& r, std::vector<std::uint32_t>& out) {
-  const std::uint64_t levels = r.get();
-  const std::uint64_t count = r.get();
-  if (!r.ok) return false;
-  // Each pivot takes >= 2 bytes and each entry >= 3; a count that cannot
-  // fit in the remaining slice is corrupt, and rejecting it here bounds
-  // the decode output by the slice size.
-  const auto remaining = static_cast<std::uint64_t>(r.end - r.p);
-  if (levels > remaining / 2 || count > remaining / 3) return false;
-  out.push_back(static_cast<std::uint32_t>(levels));
-  out.push_back(static_cast<std::uint32_t>(count));
-  Dist prev_dist = 0;
-  for (std::uint64_t i = 0; i < levels; ++i) {
-    std::uint32_t id = 0;
-    if (!decode_id(r.get(), &id)) return false;
-    const Dist d = prev_dist + unzigzag64(r.get());
-    if (!r.ok) return false;
-    prev_dist = d;
-    out.push_back(id);
-    packed::pack_dist(out, d);
-  }
-  std::uint64_t prev_node = 0;
-  for (std::uint64_t e = 0; e < count; ++e) {
-    const std::uint64_t node = prev_node + unzigzag64(r.get());
-    const std::uint64_t level = r.get();
-    const Dist dist = r.get();
-    if (!r.ok || node > kU32Max || level > kU32Max) return false;
-    prev_node = node;
-    out.push_back(static_cast<std::uint32_t>(node));
-    out.push_back(static_cast<std::uint32_t>(level));
-    packed::pack_dist(out, dist);
-  }
-  return r.ok;
+void encode_cdg_record(NodeId net_node, Dist net_dist, const LabelView& label,
+                       std::vector<std::uint8_t>& out) {
+  put_varint(out, encode_id(net_node));
+  put_varint(out, encode_dist(net_dist));
+  put_varint(out, encode_id(label.owner));
+  encode_tz_record(label, out);
 }
 
-bool decode_cdg_prefix(VarintReader& r, std::vector<std::uint32_t>& out) {
-  std::uint32_t net_node = 0;
-  if (!decode_id(r.get(), &net_node)) return false;
-  const std::uint64_t dist_v = r.get();
-  std::uint32_t owner = 0;
-  if (!decode_id(r.get(), &owner)) return false;
-  if (!r.ok) return false;
-  out.push_back(net_node);
-  packed::pack_dist(out, decode_dist(dist_v));
-  out.push_back(owner);
-  return true;
-}
-
-}  // namespace
-
-void encode_record_v3(Scheme scheme, const std::uint32_t* rec,
-                      std::size_t words, std::uint64_t slack_net_size,
-                      std::vector<std::uint8_t>& out) {
-  switch (scheme) {
-    case Scheme::kThorupZwick:
-      encode_tz(rec, out);
-      return;
-    case Scheme::kSlack:
-      for (std::uint64_t i = 0; i < slack_net_size; ++i) {
-        put_varint(out, encode_dist(packed::read_dist(rec + 2 * i)));
-      }
-      (void)words;
-      return;
-    case Scheme::kCdg:
-    case Scheme::kGraceful:
-      put_varint(out, encode_id(rec[0]));
-      put_varint(out, encode_dist(packed::read_dist(rec + 1)));
-      put_varint(out, encode_id(rec[3]));
-      encode_tz(rec + packed::kCdgPrefixWords, out);
-      return;
-  }
-}
-
-bool decode_record_v3(Scheme scheme, const std::uint8_t* begin,
-                      const std::uint8_t* end, std::uint64_t slack_net_size,
-                      std::vector<std::uint32_t>& out_words) {
-  const std::size_t checkpoint = out_words.size();
-  VarintReader r(begin, end);
-  bool ok = false;
-  switch (scheme) {
-    case Scheme::kThorupZwick:
-      ok = decode_tz(r, out_words);
-      break;
-    case Scheme::kSlack: {
-      ok = true;
-      for (std::uint64_t i = 0; ok && i < slack_net_size; ++i) {
-        const std::uint64_t v = r.get();
-        ok = r.ok;
-        if (ok) packed::pack_dist(out_words, decode_dist(v));
-      }
-      break;
-    }
-    case Scheme::kCdg:
-    case Scheme::kGraceful:
-      ok = decode_cdg_prefix(r, out_words) && decode_tz(r, out_words);
-      break;
-  }
-  // A record must consume its slice exactly — trailing bytes mean the
-  // offset table and the blob disagree.
-  if (!ok || !r.done()) {
-    out_words.resize(checkpoint);
-    return false;
-  }
-  return true;
+void encode_slack_record(const std::vector<Dist>& row,
+                         std::vector<std::uint8_t>& out) {
+  for (const Dist d : row) put_varint(out, encode_dist(d));
 }
 
 V3TzHeader v3_parse_tz_header(const std::uint8_t* begin,
@@ -172,6 +77,7 @@ V3TzHeader v3_parse_tz_header(const std::uint8_t* begin,
   if (!r.ok) return h;
   const auto remaining = static_cast<std::uint64_t>(r.end - r.p);
   if (levels > remaining / 2 || count > remaining / 3) return h;
+  if (pivots.empty()) pivots.reserve(levels);
   Dist prev_dist = 0;
   for (std::uint64_t i = 0; i < levels; ++i) {
     std::uint32_t id = 0;
@@ -186,6 +92,31 @@ V3TzHeader v3_parse_tz_header(const std::uint8_t* begin,
   h.bunch_begin = r.p;
   h.end = end;
   h.ok = true;
+  return h;
+}
+
+V3TzHeader decode_tz_record(const std::uint8_t* begin,
+                            const std::uint8_t* end,
+                            std::vector<DistKey>& pivots,
+                            std::vector<BunchEntry>& entries) {
+  V3TzHeader h = v3_parse_tz_header(begin, end, pivots);
+  if (!h.ok) return h;
+  if (entries.empty()) entries.reserve(h.count);
+  VarintReader r(h.bunch_begin, end);
+  std::uint64_t prev_node = 0;
+  for (std::uint32_t e = 0; e < h.count; ++e) {
+    const std::uint64_t node = prev_node + unzigzag64(r.get());
+    const std::uint64_t level = r.get();
+    const Dist dist = r.get();
+    if (!r.ok || node > kU32Max || level > kU32Max) {
+      h.ok = false;
+      return h;
+    }
+    prev_node = node;
+    entries.push_back(BunchEntry{static_cast<NodeId>(node),
+                                 static_cast<std::uint32_t>(level), dist});
+  }
+  h.ok = r.done();
   return h;
 }
 
@@ -252,6 +183,31 @@ V3CdgPrefix v3_parse_cdg_prefix(const std::uint8_t* begin,
   p.rest = r.p;
   p.ok = true;
   return p;
+}
+
+bool decode_cdg_record(const std::uint8_t* begin, const std::uint8_t* end,
+                       CdgSketchSet::NodeSketch& out) {
+  const V3CdgPrefix p = v3_parse_cdg_prefix(begin, end);
+  if (!p.ok) return false;
+  std::vector<DistKey> pivots;
+  std::vector<BunchEntry> entries;
+  const V3TzHeader h = decode_tz_record(p.rest, end, pivots, entries);
+  if (!h.ok) return false;
+  out.net_node = p.net_node;
+  out.net_dist = p.net_dist;
+  out.label =
+      TzLabelBuilder(p.owner, std::move(pivots), std::move(entries));
+  out.label.sort_bunch();
+  return true;
+}
+
+bool decode_slack_record(const std::uint8_t* begin, const std::uint8_t* end,
+                         std::size_t net_size, std::vector<Dist>& row) {
+  if (static_cast<std::size_t>(end - begin) < net_size) return false;
+  VarintReader r(begin, end);
+  row.resize(net_size);
+  for (Dist& d : row) d = decode_dist(r.get());
+  return r.ok && r.done();
 }
 
 }  // namespace dsketch

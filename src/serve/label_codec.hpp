@@ -1,11 +1,10 @@
-// v3 record codec: delta + LEB128-varint encoding of packed sketch
-// records.
+// v3 record codec: delta + LEB128-varint encoding of one node's sketch.
 //
-// The v2 store spends 4 fixed words on a bunch entry and 3 on a pivot;
-// almost all of those bits are zero on real graphs (node ids are dense,
-// distances are small, bunches are sorted so consecutive node ids are
-// close). The v3 format re-encodes each node's packed u32 record as a
-// byte string:
+// The codec works on the in-memory sketch types themselves: a tz record
+// is encoded straight from a LabelView and decodes straight back into
+// pivot and bunch-entry buffers (a LabelArena's parts); a cdg record adds
+// the (net node, net distance, owner) prefix of a CdgSketchSet::NodeSketch;
+// a slack record is one SlackSketchSet row. Byte layout:
 //
 //   tz record      varint(levels) varint(count)
 //                  per pivot:  varint(id+1; 0 = invalid)
@@ -19,10 +18,9 @@
 //
 // Pivot distances are non-decreasing across levels on a fresh build and
 // bunch entries are sorted by node id, so the zigzag deltas are small
-// non-negatives; zigzag (not plain unsigned deltas) keeps the coding
-// *bijective* for every structurally valid u32 record — including
-// repair-tightened labels whose pivot distances are no longer monotone —
-// which is what makes v2 -> v3 -> v2 byte-identical (tested).
+// non-negatives; zigzag (not plain unsigned deltas) keeps every label
+// encodable, including repair-tightened ones whose pivot distances are no
+// longer monotone, and decode(encode(label)) == label (tested).
 //
 // Every decode is bounds-checked against the record slice: corrupt bytes
 // can produce garbage values or a clean failure, never an out-of-bounds
@@ -33,8 +31,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/config.hpp"
 #include "graph/graph.hpp"
+#include "sketch/cdg_sketch.hpp"
+#include "sketch/slack_sketch.hpp"
+#include "sketch/tz_label.hpp"
 
 namespace dsketch {
 
@@ -81,24 +81,6 @@ struct VarintReader {
   }
   bool done() const { return p == end; }
 };
-
-// ---- whole-record transcoding ----------------------------------------------
-
-/// Encodes the packed u32 record [rec, rec + words) for `scheme` as v3
-/// bytes appended to `out`. `slack_net_size` is the slack record width in
-/// distances (ignored for other schemes). The record must be structurally
-/// valid (see sketch_store's node_record_ok).
-void encode_record_v3(Scheme scheme, const std::uint32_t* rec,
-                      std::size_t words, std::uint64_t slack_net_size,
-                      std::vector<std::uint8_t>& out);
-
-/// Decodes one v3 record slice back into packed u32 words appended to
-/// `out_words`. Returns false (leaving out_words restored to its input
-/// length) if the bytes are not a structurally valid record consuming
-/// exactly [begin, end).
-bool decode_record_v3(Scheme scheme, const std::uint8_t* begin,
-                      const std::uint8_t* end, std::uint64_t slack_net_size,
-                      std::vector<std::uint32_t>& out_words);
 
 // ---- streaming queries over v3 record slices -------------------------------
 // Used by the mmap store: answers are computed straight off the encoded
@@ -154,5 +136,45 @@ struct V3CdgPrefix {
 };
 V3CdgPrefix v3_parse_cdg_prefix(const std::uint8_t* begin,
                                 const std::uint8_t* end);
+
+// ---- whole-record coding ----------------------------------------------------
+// Used by the heap store: write() encodes every record from the payload,
+// a load decodes every record back into it.
+
+/// Appends the v3 tz record of `label` to `out`.
+void encode_tz_record(const LabelView& label, std::vector<std::uint8_t>& out);
+
+/// Appends a v3 cdg record to `out`: the (net node, net distance, owner)
+/// prefix, then the tz record of the owner's label; the owner is
+/// label.owner.
+void encode_cdg_record(NodeId net_node, Dist net_dist, const LabelView& label,
+                       std::vector<std::uint8_t>& out);
+
+/// Appends a v3 slack record (one SlackSketchSet row: a distance per net
+/// node) to `out`.
+void encode_slack_record(const std::vector<Dist>& row,
+                         std::vector<std::uint8_t>& out);
+
+/// Decodes the whole tz record [begin, end): appends its pivots and its
+/// bunch entries. The returned header's ok is false when the record is
+/// malformed or does not consume the slice exactly; the buffers may then
+/// hold a partial record, which the caller truncates. An empty buffer is
+/// sized from the record header; a caller appending many records to one
+/// buffer reserves it first.
+V3TzHeader decode_tz_record(const std::uint8_t* begin,
+                            const std::uint8_t* end,
+                            std::vector<DistKey>& pivots,
+                            std::vector<BunchEntry>& entries);
+
+/// Decodes a whole cdg record into `out` (its label finalized, bunch
+/// sorted). False, with `out` untouched, when the record is malformed or
+/// does not consume the slice exactly.
+bool decode_cdg_record(const std::uint8_t* begin, const std::uint8_t* end,
+                       CdgSketchSet::NodeSketch& out);
+
+/// Decodes a slack record of `net_size` distances into `row` (replaced).
+/// False when the record is malformed or does not consume the slice.
+bool decode_slack_record(const std::uint8_t* begin, const std::uint8_t* end,
+                         std::size_t net_size, std::vector<Dist>& row);
 
 }  // namespace dsketch

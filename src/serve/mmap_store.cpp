@@ -10,7 +10,6 @@
 #include "core/sketch_oracle.hpp"
 #include "obs/trace.hpp"
 #include "serve/label_codec.hpp"
-#include "serve/packed_record.hpp"
 #include "serve/store_format.hpp"
 #include "util/assert.hpp"
 
@@ -35,15 +34,16 @@ std::vector<DistKey>& pivot_scratch() {
   return s;
 }
 
-/// Word-model size of one encoded tz record (the formula the heap store
-/// reports); 0 when the slice is malformed.
+/// Word-model size of one encoded tz record (LabelView::size_words);
+/// 0 when the slice is malformed.
 std::size_t tz_record_words(const std::uint8_t* begin,
                             const std::uint8_t* end) {
   std::vector<DistKey>& pivots = pivot_scratch();
   pivots.clear();
   const V3TzHeader h = v3_parse_tz_header(begin, end, pivots);
   if (!h.ok) return 0;
-  return 2 + packed::kPivotStride * h.levels + packed::kBunchStride * h.count;
+  return 2 * static_cast<std::size_t>(h.levels) +
+         2 * static_cast<std::size_t>(h.count);
 }
 
 }  // namespace
@@ -171,9 +171,9 @@ Dist MmapSketchStore::query_cdg_segment(const MSeg& seg, NodeId u,
   const V3CdgPrefix pu = v3_parse_cdg_prefix(ub, ue);
   const V3CdgPrefix pv = v3_parse_cdg_prefix(vb, ve);
   if (!pu.ok || !pv.ok) return kInfDist;
-  // Mirror of SketchStore::query_segment: an infinite net distance
-  // (unreachable net node, or a quarantined record) must not flow into
-  // the sum — it would wrap around.
+  // Mirror of CdgSketchSet::query: an infinite net distance (unreachable
+  // net node, or a quarantined record) must not flow into the sum — it
+  // would wrap around.
   if (pu.net_dist == kInfDist || pv.net_dist == kInfDist) return kInfDist;
   const Dist mid = pu.owner == pv.owner
                        ? 0
@@ -239,7 +239,7 @@ std::size_t MmapSketchStore::size_words(NodeId u) const {
       case Scheme::kGraceful: {
         const V3CdgPrefix p = v3_parse_cdg_prefix(begin, end);
         if (p.ok) {
-          words += packed::kCdgPrefixWords + tz_record_words(p.rest, end);
+          words += 2 + tz_record_words(p.rest, end);
         }
         break;
       }
@@ -275,20 +275,6 @@ Capabilities MmapSketchStore::capabilities() const {
 
 void MmapSketchStore::drop_pages() const {
   if (map_ != nullptr) ::madvise(map_, map_len_, MADV_DONTNEED);
-}
-
-std::vector<std::uint32_t> MmapSketchStore::decode_record(std::size_t segment,
-                                                          NodeId u) const {
-  DS_CHECK(segment < segments_.size() && u < n_);
-  const MSeg& seg = segments_[segment];
-  const std::uint64_t slack_net =
-      scheme_ == Scheme::kSlack ? seg.meta[0] : 0;
-  std::vector<std::uint32_t> words;
-  if (!decode_record_v3(scheme_, seg.blob + off(seg, u),
-                        seg.blob + off(seg, u + 1), slack_net, words)) {
-    words.clear();
-  }
-  return words;
 }
 
 }  // namespace dsketch

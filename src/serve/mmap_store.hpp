@@ -1,8 +1,8 @@
 /// \file
 /// Memory-mapped serving of a v3 sketch store.
 ///
-/// SketchStore::read decodes the whole file into heap arenas — fine for
-/// tooling, but a serving frontend that hosts many stores (or one store
+/// SketchStore::read decodes the whole file into the heap payload — fine
+/// for tooling, but a serving frontend that hosts many stores (or one store
 /// much larger than RAM) wants the kernel's page cache to be the only
 /// copy. MmapSketchStore maps the file read-only and answers queries
 /// straight off the encoded bytes:
@@ -57,9 +57,9 @@ class MmapSketchStore final : public DistanceOracle {
   Dist query(NodeId u, NodeId v) const override;
 
   NodeId num_nodes() const override { return n_; }
-  /// Word-model size of node u's records — same formula the heap store
-  /// reports, decoded from the record headers (not the encoded bytes;
-  /// encoded_bytes_for is the on-disk number).
+  /// Word-model size of node u's records — SketchPayload::size_words,
+  /// the formula the heap store and the oracle report, decoded from the
+  /// record headers (encoded_bytes_for is the on-disk number).
   std::size_t size_words(NodeId u) const override;
   std::string scheme() const override;
   std::string guarantee() const override;
@@ -81,12 +81,6 @@ class MmapSketchStore final : public DistanceOracle {
   /// the next query faults them back in. Benches use this to re-measure
   /// cold (fault-in) latency without reopening the file.
   void drop_pages() const;
-
-  /// Decodes node u's record in `segment` back to packed u32 words —
-  /// the test hook that proves mmap bytes and heap arenas agree. Returns
-  /// an empty vector when the record is malformed.
-  std::vector<std::uint32_t> decode_record(std::size_t segment,
-                                           NodeId u) const;
 
  private:
   MmapSketchStore() = default;

@@ -179,8 +179,9 @@ std::uint64_t QueryService::query_batch(std::span<const Pair> pairs,
   // every pair is answered by the same oracle generation even if swap()
   // lands mid-batch.
   BatchCtx ctx;
-  ctx.snap = slot_.load();
-  ctx.previous = slot_.previous();
+  OracleSlot::Pinned pinned = slot_.pin();
+  ctx.snap = std::move(pinned.current);
+  ctx.previous = std::move(pinned.previous);
   ctx.canonical_keys = ctx.snap.symmetric;
   ctx.batch = batches_;
   // Scatter pair indices to their owning shards (single pass, reused

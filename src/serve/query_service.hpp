@@ -20,14 +20,16 @@
 /// valid) estimates and the service must reproduce the oracle's answer
 /// for the orientation actually asked.
 ///
-/// The oracle lives behind a generation-tagged atomic snapshot
-/// (serve/snapshot.hpp). swap() publishes a replacement with one pointer
-/// flip: in-flight batches finish against the snapshot they pinned,
-/// later batches see the new oracle, and each shard drops its cache the
-/// first time it runs under a new generation — queries never block on a
-/// swap and never observe a torn oracle or a stale cached answer.
+/// The oracle lives behind a generation-tagged snapshot slot
+/// (serve/snapshot.hpp). swap() publishes a replacement under the slot's
+/// mutex, which a batch holds only to copy two shared_ptrs when it pins
+/// its snapshot: in-flight batches finish against the snapshot they
+/// pinned, later batches see the new oracle, and each shard drops its
+/// cache the first time it runs under a new generation — queries never
+/// wait on a rebuild and never observe a torn oracle or a stale cached
+/// answer.
 ///
-/// The usual backing oracle is the packed SketchStore (the serving
+/// The usual backing oracle is the heap SketchStore (the serving
 /// representation), but any registered scheme serves: a landmark table,
 /// the exact matrix, a freshly built sketch.
 ///
@@ -36,7 +38,7 @@
 ///   QueryService service(std::move(oracle), {.shards = 8, .threads = 8,
 ///                                            .cache_capacity = 4096});
 ///   service.query_batch(pairs, answers);  // answers[i] == oracle->query(...)
-///   service.swap(rebuilt);                // hot-swap, readers never block
+///   service.swap(rebuilt);                // hot-swap between batches
 ///   service.stats().qps;
 /// \endcode
 #pragma once
@@ -162,8 +164,8 @@ class QueryService {
   Dist query(NodeId u, NodeId v);
 
   /// Publishes `next` as the serving oracle and returns its generation.
-  /// One atomic pointer flip: concurrent query_batch calls never block
-  /// and never mix oracles within a batch; each shard's cache is dropped
+  /// A shared_ptr swap under the slot mutex: concurrent query_batch calls
+  /// never mix oracles within a batch; each shard's cache is dropped
   /// the first time it serves under the new generation.
   std::uint64_t swap(std::shared_ptr<const DistanceOracle> next);
 
@@ -233,7 +235,7 @@ class QueryService {
   /// plus the degraded-mode failover targets, resolved once per batch.
   struct BatchCtx {
     OracleSnapshot snap;      ///< pinned primary
-    OracleSnapshot previous;  ///< slot_.previous(); oracle null before swap 1
+    OracleSnapshot previous;  ///< pinned; oracle null before swap 1
     bool canonical_keys = false;
     std::uint64_t batch = 0;  ///< batch sequence number (breaker clock)
   };

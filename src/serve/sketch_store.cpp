@@ -17,7 +17,6 @@
 #include "dynamics/incremental.hpp"
 #include "obs/trace.hpp"
 #include "serve/label_codec.hpp"
-#include "serve/packed_record.hpp"
 #include "serve/store_format.hpp"
 #include "sketch/cdg_sketch.hpp"
 #include "sketch/graceful_sketch.hpp"
@@ -29,12 +28,6 @@ namespace dsketch {
 namespace {
 
 namespace sf = store_format;
-
-using packed::kCdgPrefixWords;
-using packed::pack_dist;
-using packed::PackedLabel;
-using packed::packed_tz_query;
-using packed::read_dist;
 
 [[noreturn]] void fail(StoreError kind, const std::string& what) {
   throw StoreCorruptionError(kind, "sketch store: " + what);
@@ -117,30 +110,282 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-// ---- packed record layout --------------------------------------------------
-// (layout constants and in-place views live in serve/packed_record.hpp)
+/// The record a v1/v2 word record that is not structurally valid
+/// transcodes to: a lone continuation byte, an unterminated varint that
+/// the v3 decoder rejects for every scheme.
+constexpr std::uint8_t kInvalidRecord = 0x80;
 
-void pack_label(std::vector<std::uint32_t>& arena, const LabelView& label) {
-  arena.push_back(label.levels);
-  arena.push_back(label.count);
-  for (std::uint32_t i = 0; i < label.levels; ++i) {
-    arena.push_back(label.pivot(i).id);
-    pack_dist(arena, label.pivot(i).dist);
+std::vector<std::uint64_t> read_meta(ByteReader& r, Scheme scheme) {
+  const std::uint64_t meta_count = r.u64();
+  if (meta_count > r.remaining() / 8) {
+    fail(StoreError::kStructure, "corrupt meta count");
   }
-  // The arena's canonical bunch order is already (node, level) — the
-  // packed record copies it straight through, so membership tests
-  // binary-search without a re-sort here.
-  for (std::uint32_t j = 0; j < label.count; ++j) {
-    const BunchEntry& e = label.bunch[j];
-    arena.push_back(e.node);
-    arena.push_back(e.level);
-    pack_dist(arena, e.dist);
+  std::vector<std::uint64_t> meta(meta_count);
+  for (std::uint64_t& m : meta) m = r.u64();
+  if (scheme == Scheme::kSlack) {
+    if (meta.empty() || meta[0] + 1 != meta.size()) {
+      fail(StoreError::kStructure, "slack net meta size mismatch");
+    }
+  } else if (!meta.empty()) {
+    fail(StoreError::kStructure, "unexpected segment meta");
   }
+  return meta;
+}
+
+std::vector<std::uint64_t> read_offsets(ByteReader& r, NodeId n) {
+  const std::uint64_t count = static_cast<std::uint64_t>(n) + 1;
+  if (count > r.remaining() / 8) {
+    fail(StoreError::kStructure, "offset table size mismatch");
+  }
+  std::vector<std::uint64_t> offsets(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    offsets[i] = r.u64();
+    if (i > 0 && offsets[i] < offsets[i - 1]) {
+      fail(StoreError::kStructure, "offsets not monotone");
+    }
+  }
+  return offsets;
+}
+
+/// One segment's records as v3 bytes: node u's record is
+/// blob[offsets[u], offsets[u+1]), present only when offsets[u+1] <=
+/// available (a truncated file loses its tail).
+struct RecordTable {
+  std::vector<std::uint64_t> meta;
+  std::vector<std::uint64_t> offsets;
+  const std::uint8_t* blob = nullptr;
+  std::uint64_t available = 0;
+  std::vector<std::uint8_t> transcoded;  ///< owns the blob of a v1/v2 file
+
+  bool present(NodeId u) const { return offsets[u + 1] <= available; }
+  const std::uint8_t* begin(NodeId u) const { return blob + offsets[u]; }
+  const std::uint8_t* end(NodeId u) const { return blob + offsets[u + 1]; }
+};
+
+/// v3 segment framing: meta words, blob size, the page-aligned byte
+/// offset table, and the blob itself. `strict` (a checksummed load)
+/// requires the whole blob and its pad; recovery takes what is there.
+RecordTable read_v3_segment(ByteReader& r, Scheme scheme, NodeId n,
+                            bool strict) {
+  RecordTable t;
+  t.meta = read_meta(r, scheme);
+  const std::uint64_t blob_bytes = r.u64();
+  r.skip(sf::v3_pad(r.pos()));
+  t.offsets = read_offsets(r, n);
+  if (t.offsets.front() != 0 || t.offsets.back() != blob_bytes) {
+    fail(StoreError::kStructure, "blob offset mismatch");
+  }
+  r.skip(sf::v3_pad(r.pos()));
+  if (strict && r.remaining() < blob_bytes) {
+    fail(StoreError::kTruncatedPayload, "truncated payload");
+  }
+  t.blob = r.ptr();
+  t.available = std::min<std::uint64_t>(blob_bytes, r.remaining());
+  r.skip_at_most(blob_bytes);
+  if (strict) {
+    r.skip(sf::v3_pad(r.pos()));
+  } else {
+    r.skip_at_most(sf::v3_pad(r.pos()));
+  }
+  return t;
+}
+
+/// A legacy tz word record [levels, count, (id, D) x levels,
+/// (node, level, D) x count] as a view over `pivots`/`entries`; false
+/// when the record's counts disagree with its length.
+bool legacy_label(const std::uint32_t* w, std::uint64_t words, NodeId owner,
+                  std::vector<DistKey>& pivots,
+                  std::vector<BunchEntry>& entries, LabelView* view) {
+  if (words < 2) return false;
+  const std::uint64_t levels = w[0];
+  const std::uint64_t count = w[1];
+  if (words != 2 + 3 * levels + 4 * count) return false;
+  const auto dist = [](const std::uint32_t* p) {
+    return static_cast<Dist>(p[0]) | (static_cast<Dist>(p[1]) << 32);
+  };
+  pivots.clear();
+  entries.clear();
+  for (const std::uint32_t* p = w + 2; p < w + 2 + 3 * levels; p += 3) {
+    pivots.push_back(DistKey{dist(p + 1), p[0]});
+  }
+  for (const std::uint32_t* e = w + 2 + 3 * levels; e < w + words; e += 4) {
+    entries.push_back(BunchEntry{e[0], e[1], dist(e + 2)});
+  }
+  *view = LabelView{owner, static_cast<std::uint32_t>(levels),
+                    static_cast<std::uint32_t>(count), pivots.data(),
+                    entries.data()};
+  return true;
+}
+
+/// Transcodes one legacy word record to v3 bytes; false when it is not
+/// structurally valid.
+bool legacy_record(Scheme scheme, const std::uint32_t* w, std::uint64_t words,
+                   std::uint64_t slack_net, std::vector<std::uint8_t>& out) {
+  std::vector<DistKey> pivots;
+  std::vector<BunchEntry> entries;
+  LabelView label;
+  switch (scheme) {
+    case Scheme::kThorupZwick:
+      if (!legacy_label(w, words, kInvalidNode, pivots, entries, &label)) {
+        return false;
+      }
+      encode_tz_record(label, out);
+      return true;
+    case Scheme::kSlack: {
+      if (words != 2 * slack_net) return false;
+      std::vector<Dist> row(slack_net);
+      for (std::uint64_t i = 0; i < slack_net; ++i) {
+        row[i] = static_cast<Dist>(w[2 * i]) |
+                 (static_cast<Dist>(w[2 * i + 1]) << 32);
+      }
+      encode_slack_record(row, out);
+      return true;
+    }
+    case Scheme::kCdg:
+    case Scheme::kGraceful:
+      if (words < 4 ||
+          !legacy_label(w + 4, words - 4, w[3], pivots, entries, &label)) {
+        return false;
+      }
+      encode_cdg_record(w[0], static_cast<Dist>(w[1]) |
+                                  (static_cast<Dist>(w[2]) << 32),
+                        label, out);
+      return true;
+  }
+  return false;
+}
+
+/// v1/v2 segment: fixed-width word records, transcoded to v3 bytes so one
+/// decoder serves every version. A record that is cut off or structurally
+/// invalid becomes kInvalidRecord.
+RecordTable read_legacy_segment(ByteReader& r, Scheme scheme, NodeId n,
+                                bool strict) {
+  RecordTable t;
+  t.meta = read_meta(r, scheme);
+  const std::uint64_t offsets_count = r.u64();
+  if (offsets_count != static_cast<std::uint64_t>(n) + 1) {
+    fail(StoreError::kStructure, "offset table size mismatch");
+  }
+  const std::vector<std::uint64_t> word_offsets = read_offsets(r, n);
+  const std::uint64_t declared = r.u64();
+  if (strict &&
+      (declared != word_offsets.back() || declared > r.remaining() / 4)) {
+    fail(StoreError::kStructure, "arena size mismatch");
+  }
+  const std::uint64_t available =
+      std::min<std::uint64_t>(declared, r.remaining() / 4);
+  std::vector<std::uint32_t> words(available);
+  for (std::uint32_t& w : words) w = r.u32();
+  const std::uint64_t slack_net = t.meta.empty() ? 0 : t.meta[0];
+  t.offsets.reserve(word_offsets.size());
+  t.offsets.push_back(0);
+  for (NodeId u = 0; u < n; ++u) {
+    const std::uint64_t begin = word_offsets[u];
+    const std::uint64_t end = word_offsets[u + 1];
+    if (end > available || !legacy_record(scheme, words.data() + begin,
+                                          end - begin, slack_net,
+                                          t.transcoded)) {
+      t.transcoded.push_back(kInvalidRecord);
+    }
+    t.offsets.push_back(t.transcoded.size());
+  }
+  t.blob = t.transcoded.data();
+  t.available = t.transcoded.size();
+  return t;
+}
+
+/// A record that does not decode: a strict load fails, recovery
+/// quarantines the node (its caller substitutes a record that answers
+/// kInfDist).
+void reject(NodeId u, std::vector<char>* quarantined) {
+  if (quarantined == nullptr) {
+    fail(StoreError::kStructure, "invalid node record");
+  }
+  (*quarantined)[u] = 1;
+}
+
+LabelArena decode_tz_segment(const RecordTable& t, NodeId n, std::uint32_t k,
+                             std::vector<char>* quarantined) {
+  // Every record takes at least 2 bytes (the older quarantine marker)
+  // and becomes k pivots in memory: a header k past 16 pivots per 2
+  // bytes is corrupt and must not size a giant allocation.
+  if (static_cast<std::uint64_t>(n) * k > 8 * t.offsets.back()) {
+    fail(StoreError::kStructure, "level count out of range");
+  }
+  // Size the buffers from the record headers first, so the fill below
+  // never reallocates. A count the slice cannot hold is corrupt and only
+  // fails later; it must not inflate the reservation.
+  std::size_t total = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    if (!t.present(u)) continue;
+    VarintReader r(t.begin(u), t.end(u));
+    r.get();
+    const std::uint64_t count = r.get();
+    const auto bytes = static_cast<std::uint64_t>(t.end(u) - t.begin(u));
+    if (r.ok && count <= bytes / 3) total += count;
+  }
+  std::vector<DistKey> pivots;
+  std::vector<BunchEntry> entries;
+  std::vector<std::uint32_t> counts(n, 0);
+  pivots.reserve(static_cast<std::size_t>(n) * k);
+  entries.reserve(total);
+  for (NodeId u = 0; u < n; ++u) {
+    const std::size_t pivots_before = pivots.size();
+    const std::size_t entries_before = entries.size();
+    V3TzHeader h;
+    if (t.present(u)) h = decode_tz_record(t.begin(u), t.end(u), pivots,
+                                           entries);
+    if (h.ok && h.levels == k) {
+      counts[u] = h.count;
+      continue;
+    }
+    pivots.resize(pivots_before);
+    entries.resize(entries_before);
+    // Older builds quarantined a node as an empty (0 levels, 0 entries)
+    // record; it loads as k invalid pivots, which answers kInfDist too.
+    if (!h.ok || h.levels != 0 || h.count != 0) reject(u, quarantined);
+    pivots.resize(pivots_before + k);
+  }
+  return LabelArena::from_parts(k, std::move(pivots), std::move(entries),
+                                counts);
+}
+
+SlackSketchSet decode_slack_segment(const RecordTable& t, NodeId n,
+                                    std::vector<char>* quarantined) {
+  const std::vector<NodeId> net(t.meta.begin() + 1, t.meta.end());
+  // Every net distance takes at least one byte.
+  if (static_cast<std::uint64_t>(n) * net.size() > t.offsets.back()) {
+    fail(StoreError::kStructure, "slack records shorter than the net");
+  }
+  std::vector<std::vector<Dist>> rows(n);
+  for (NodeId u = 0; u < n; ++u) {
+    if (!t.present(u) ||
+        !decode_slack_record(t.begin(u), t.end(u), net.size(), rows[u])) {
+      reject(u, quarantined);
+      rows[u].assign(net.size(), kInfDist);
+    }
+  }
+  return SlackSketchSet(net, std::move(rows));
+}
+
+CdgSketchSet decode_cdg_segment(const RecordTable& t, NodeId n,
+                                std::vector<char>* quarantined) {
+  // A rejected node keeps the default sketch: no net node, kInfDist net
+  // distance, and an empty label, which CdgSketchSet::query answers
+  // with kInfDist.
+  std::vector<CdgSketchSet::NodeSketch> sketches(n);
+  for (NodeId u = 0; u < n; ++u) {
+    if (!t.present(u) ||
+        !decode_cdg_record(t.begin(u), t.end(u), sketches[u])) {
+      reject(u, quarantined);
+    }
+  }
+  return CdgSketchSet(std::move(sketches));
 }
 
 }  // namespace
 
-// ---- packing from built sketches -------------------------------------------
+// ---- from built sketches ----------------------------------------------------
 
 bool SketchStore::packable(const DistanceOracle& oracle) {
   return dynamic_cast<const SketchStore*>(&oracle) != nullptr ||
@@ -150,172 +395,57 @@ bool SketchStore::packable(const DistanceOracle& oracle) {
 
 SketchStore SketchStore::from_oracle(const DistanceOracle& oracle) {
   const obs::Span span("store_from_oracle");
-  // Re-packing a store is a copy: it already is the packed representation.
-  if (const auto* packed_store = dynamic_cast<const SketchStore*>(&oracle)) {
-    return *packed_store;
+  if (const auto* store = dynamic_cast<const SketchStore*>(&oracle)) {
+    return *store;
   }
+  SketchStore store;
+  store.n_ = oracle.num_nodes();
   // A bare TZ label arena (distributed build, dynamic-sketch snapshot)
-  // packs through the same segment layout as a tz-scheme SketchOracle; it
-  // carries no recorded epsilon.
+  // is a tz payload; it carries no recorded epsilon.
   if (const auto* tz = dynamic_cast<const TzLabelOracle*>(&oracle)) {
-    SketchStore store;
-    store.scheme_ = Scheme::kThorupZwick;
     store.k_ = tz->k();
     store.epsilon_known_ = false;
-    store.n_ = tz->num_nodes();
-    Segment seg;
-    seg.offsets.reserve(store.n_ + 1);
-    for (NodeId u = 0; u < store.n_; ++u) {
-      seg.offsets.push_back(seg.arena.size());
-      pack_label(seg.arena, tz->labels().view(u));
-    }
-    seg.offsets.push_back(seg.arena.size());
-    store.segments_.push_back(std::move(seg));
-    return store;
-  }
-  const auto* sketch = dynamic_cast<const SketchOracle*>(&oracle);
-  if (sketch == nullptr) {
+    store.payload_.scheme = Scheme::kThorupZwick;
+    store.payload_.tz = tz->labels();
+  } else if (const auto* sketch = dynamic_cast<const SketchOracle*>(&oracle)) {
+    store.k_ = sketch->config().k;
+    store.epsilon_ = sketch->config().epsilon;
+    // Sketches loaded from pre-epsilon envelopes carry a default, not the
+    // build value; the store must not launder it into a recorded one.
+    store.epsilon_known_ = sketch->epsilon_recorded_;
+    store.payload_ = sketch->payload_;
+  } else {
     throw std::runtime_error("oracle scheme '" + oracle.scheme() +
-                             "' has no packed store representation");
+                             "' has no store representation");
   }
-
-  SketchStore store;
-  store.scheme_ = sketch->config().scheme;
-  store.k_ = sketch->config().k;
-  store.epsilon_ = sketch->config().epsilon;
-  // Sketches loaded from pre-epsilon envelopes carry a default, not the
-  // build value; the store must not launder it into a recorded one.
-  store.epsilon_known_ = sketch->epsilon_recorded_;
-
-  const auto pack_cdg = [](const CdgSketchSet& set, NodeId n) {
-    SketchStore::Segment seg;
-    seg.offsets.reserve(n + 1);
-    for (NodeId u = 0; u < n; ++u) {
-      seg.offsets.push_back(seg.arena.size());
-      const auto& s = set.sketch(u);
-      seg.arena.push_back(s.net_node);
-      pack_dist(seg.arena, s.net_dist);
-      seg.arena.push_back(s.label.owner());
-      pack_label(seg.arena, s.label.view());
-    }
-    seg.offsets.push_back(seg.arena.size());
-    return seg;
-  };
-
-  switch (store.scheme_) {
-    case Scheme::kThorupZwick: {
-      const LabelArena& labels = sketch->tz_labels_;
-      store.n_ = labels.num_nodes();
-      Segment seg;
-      seg.offsets.reserve(store.n_ + 1);
-      for (NodeId u = 0; u < store.n_; ++u) {
-        seg.offsets.push_back(seg.arena.size());
-        pack_label(seg.arena, labels.view(u));
-      }
-      seg.offsets.push_back(seg.arena.size());
-      store.segments_.push_back(std::move(seg));
-      break;
-    }
-    case Scheme::kSlack: {
-      const SlackSketchSet& set = sketch->slack_;
-      store.n_ = sketch->num_nodes();
-      Segment seg;
-      seg.meta.push_back(set.net().size());
-      for (const NodeId w : set.net()) seg.meta.push_back(w);
-      seg.offsets.reserve(store.n_ + 1);
-      for (NodeId u = 0; u < store.n_; ++u) {
-        seg.offsets.push_back(seg.arena.size());
-        for (std::size_t i = 0; i < set.net().size(); ++i) {
-          pack_dist(seg.arena, set.net_dist(u, i));
-        }
-      }
-      seg.offsets.push_back(seg.arena.size());
-      store.segments_.push_back(std::move(seg));
-      break;
-    }
-    case Scheme::kCdg: {
-      store.n_ = sketch->num_nodes();
-      store.segments_.push_back(pack_cdg(sketch->cdg_, store.n_));
-      break;
-    }
-    case Scheme::kGraceful: {
-      store.n_ = sketch->num_nodes();
-      const GracefulSketchSet& set = sketch->graceful_;
-      for (std::size_t i = 0; i < set.num_levels(); ++i) {
-        store.segments_.push_back(pack_cdg(set.level(i), store.n_));
-      }
-      break;
-    }
+  // A load rejects a tz record whose level count is not the header k, so
+  // the header takes the labels' own k over a differing configured one.
+  if (store.payload_.scheme == Scheme::kThorupZwick && store.n_ > 0) {
+    store.k_ = store.payload_.tz.k();
   }
   return store;
 }
 
-// ---- queries ----------------------------------------------------------------
-
-Dist SketchStore::query_segment(const Segment& seg, NodeId u, NodeId v) const {
-  // CDG estimate: d(u,u') + tz(L(u'), L(v')) + d(v',v), mirroring
-  // CdgSketchSet::query (including the owner short-circuit inside tz_query).
-  const std::uint32_t* ru = seg.arena.data() + seg.offsets[u];
-  const std::uint32_t* rv = seg.arena.data() + seg.offsets[v];
-  const Dist du = read_dist(ru + 1);
-  const Dist dv = read_dist(rv + 1);
-  // An infinite net distance (unreachable net node, or a quarantined
-  // record) must not flow into the sum below — it would wrap around.
-  if (du == kInfDist || dv == kInfDist) return kInfDist;
-  const NodeId owner_u = ru[3];
-  const NodeId owner_v = rv[3];
-  const PackedLabel lu{ru + kCdgPrefixWords};
-  const PackedLabel lv{rv + kCdgPrefixWords};
-  const Dist mid = owner_u == owner_v ? 0 : packed_tz_query(lu, lv);
-  if (mid == kInfDist) return kInfDist;
-  return du + mid + dv;
-}
+// ---- queries and sizes ------------------------------------------------------
 
 Dist SketchStore::query(NodeId u, NodeId v) const {
   DS_CHECK(u < n_ && v < n_);
-  if (u == v) return 0;
-  switch (scheme_) {
-    case Scheme::kThorupZwick: {
-      const Segment& seg = segments_[0];
-      const PackedLabel lu{seg.arena.data() + seg.offsets[u]};
-      const PackedLabel lv{seg.arena.data() + seg.offsets[v]};
-      return packed_tz_query(lu, lv);
-    }
-    case Scheme::kSlack: {
-      const Segment& seg = segments_[0];
-      const std::size_t net_size = static_cast<std::size_t>(seg.meta[0]);
-      const std::uint32_t* du = seg.arena.data() + seg.offsets[u];
-      const std::uint32_t* dv = seg.arena.data() + seg.offsets[v];
-      Dist best = kInfDist;
-      for (std::size_t i = 0; i < net_size; ++i) {
-        const Dist a = read_dist(du + 2 * i);
-        const Dist b = read_dist(dv + 2 * i);
-        if (a == kInfDist || b == kInfDist) continue;
-        best = std::min(best, a + b);
-      }
-      return best;
-    }
-    case Scheme::kCdg:
-      return query_segment(segments_[0], u, v);
-    case Scheme::kGraceful: {
-      Dist best = kInfDist;
-      for (const Segment& seg : segments_) {
-        best = std::min(best, query_segment(seg, u, v));
-      }
-      return best;
-    }
-  }
-  return kInfDist;
+  return payload_.query(u, v);
+}
+
+std::size_t SketchStore::size_words(NodeId u) const {
+  DS_CHECK(u < n_);
+  return payload_.size_words(u);
+}
+
+std::size_t SketchStore::num_segments() const {
+  return payload_.scheme == Scheme::kGraceful
+             ? payload_.graceful.num_levels()
+             : 1;
 }
 
 std::size_t SketchStore::payload_bytes() const {
-  std::size_t bytes = 0;
-  for (const Segment& seg : segments_) {
-    bytes += 8 * (1 + seg.meta.size());     // meta_count + meta
-    bytes += 8 * (1 + seg.offsets.size());  // offsets_count + offsets
-    bytes += 8 + 4 * seg.arena.size();      // arena_count + arena
-  }
-  return bytes;
+  return payload_.resident_bytes();
 }
 
 std::size_t SketchStore::encoded_bytes() const {
@@ -325,38 +455,19 @@ std::size_t SketchStore::encoded_bytes() const {
 std::size_t SketchStore::encoded_record_bytes(NodeId u) const {
   DS_CHECK(u < n_);
   std::vector<std::uint8_t> bytes;
-  for (const Segment& seg : segments_) {
-    encode_record_v3(scheme_, seg.arena.data() + seg.offsets[u],
-                     seg.offsets[u + 1] - seg.offsets[u],
-                     scheme_ == Scheme::kSlack ? seg.meta[0] : 0, bytes);
-  }
+  for (std::size_t s = 0; s < num_segments(); ++s) encode_record(s, u, bytes);
   return bytes.size();
 }
 
-std::size_t SketchStore::node_record_words(NodeId u) const {
-  DS_CHECK(u < n_ && !segments_.empty());
-  const Segment& seg = segments_[0];
-  return static_cast<std::size_t>(seg.offsets[u + 1] - seg.offsets[u]);
-}
-
-std::size_t SketchStore::size_words(NodeId u) const {
-  DS_CHECK(u < n_);
-  std::size_t words = 0;
-  for (const Segment& seg : segments_) {
-    words += static_cast<std::size_t>(seg.offsets[u + 1] - seg.offsets[u]);
-  }
-  return words;
-}
-
 std::string SketchStore::guarantee() const {
-  return sketch_guarantee(scheme_, k_, epsilon_);
+  return sketch_guarantee(payload_.scheme, k_, epsilon_);
 }
 
 Capabilities SketchStore::capabilities() const {
-  Capabilities caps = sketch_capabilities(scheme_, k_);
-  // The CONGEST cost was paid by whoever built; a packed store never
-  // carries it. Its persistent form is the binary store (save_file), not
-  // the text envelope.
+  Capabilities caps = sketch_capabilities(payload_.scheme, k_);
+  // The CONGEST cost was paid by whoever built; a store never carries
+  // it. Its persistent form is the binary store (save_file), not the
+  // text envelope.
   caps.build_cost_available = false;
   caps.supports_save = false;
   return caps;
@@ -364,33 +475,45 @@ Capabilities SketchStore::capabilities() const {
 
 // ---- binary round trip ------------------------------------------------------
 
-std::vector<std::uint8_t> SketchStore::build_v2_payload() const {
-  ByteWriter payload;
-  for (const Segment& seg : segments_) {
-    payload.u64(seg.meta.size());
-    for (const std::uint64_t m : seg.meta) payload.u64(m);
-    payload.u64(seg.offsets.size());
-    for (const std::uint64_t o : seg.offsets) payload.u64(o);
-    payload.u64(seg.arena.size());
-    for (const std::uint32_t w : seg.arena) payload.u32(w);
+void SketchStore::encode_record(std::size_t segment, NodeId u,
+                                std::vector<std::uint8_t>& out) const {
+  const auto cdg = [&](const CdgSketchSet& set) {
+    const CdgSketchSet::NodeSketch& s = set.sketch(u);
+    encode_cdg_record(s.net_node, s.net_dist, s.label.view(), out);
+  };
+  switch (payload_.scheme) {
+    case Scheme::kThorupZwick:
+      encode_tz_record(payload_.tz.view(u), out);
+      return;
+    case Scheme::kSlack:
+      encode_slack_record(payload_.slack.row(u), out);
+      return;
+    case Scheme::kCdg:
+      cdg(payload_.cdg);
+      return;
+    case Scheme::kGraceful:
+      cdg(payload_.graceful.level(segment));
+      return;
   }
-  return payload.take();
 }
 
 std::vector<std::uint8_t> SketchStore::build_v3_payload() const {
   ByteWriter payload;
-  for (const Segment& seg : segments_) {
-    payload.u64(seg.meta.size());
-    for (const std::uint64_t m : seg.meta) payload.u64(m);
-    const std::uint64_t slack_net =
-        scheme_ == Scheme::kSlack ? seg.meta[0] : 0;
+  for (std::size_t s = 0; s < num_segments(); ++s) {
+    if (payload_.scheme == Scheme::kSlack) {
+      const std::vector<NodeId>& net = payload_.slack.net();
+      payload.u64(net.size() + 1);
+      payload.u64(net.size());
+      for (const NodeId w : net) payload.u64(w);
+    } else {
+      payload.u64(0);
+    }
     std::vector<std::uint8_t> blob;
     std::vector<std::uint64_t> byte_offsets;
     byte_offsets.reserve(n_ + 1);
     byte_offsets.push_back(0);
     for (NodeId u = 0; u < n_; ++u) {
-      encode_record_v3(scheme_, seg.arena.data() + seg.offsets[u],
-                       seg.offsets[u + 1] - seg.offsets[u], slack_net, blob);
+      encode_record(s, u, blob);
       byte_offsets.push_back(blob.size());
     }
     payload.u64(blob.size());
@@ -405,17 +528,16 @@ std::vector<std::uint8_t> SketchStore::build_v3_payload() const {
 
 void SketchStore::write(std::ostream& out, StoreFormat format) const {
   const obs::Span span("store_write");
-  const bool v3 = format == StoreFormat::kV3;
-  const std::vector<std::uint8_t> body =
-      v3 ? build_v3_payload() : build_v2_payload();
+  (void)format;  // v3 is the one encoding written
+  const std::vector<std::uint8_t> body = build_v3_payload();
 
-  out.write(v3 ? sf::kMagicV3 : sf::kMagicV2, 8);
+  out.write(sf::kMagicV3, 8);
   ByteWriter h;
-  h.u32(v3 ? 3u : 2u);
-  h.u32(static_cast<std::uint32_t>(scheme_));
+  h.u32(3);
+  h.u32(static_cast<std::uint32_t>(payload_.scheme));
   h.u32(n_);
   h.u32(k_);
-  h.u32(static_cast<std::uint32_t>(segments_.size()));
+  h.u32(static_cast<std::uint32_t>(num_segments()));
   h.u32(epsilon_known_ ? sf::kFlagEpsilonKnown : 0);
   h.f64(epsilon_);
   h.u64(body.size());
@@ -506,218 +628,78 @@ std::vector<std::uint8_t> read_body(std::istream& in,
   return body;
 }
 
-/// v3 segment framing: meta words, blob size, and the page-aligned byte
-/// offset table. Shared by the strict read and the lenient recovery pass
-/// (which tolerates a truncated/garbage *blob* but not broken framing).
-struct V3Frame {
-  std::vector<std::uint64_t> meta;
-  std::uint64_t slack_net = 0;
-  std::uint64_t blob_bytes = 0;
-  std::vector<std::uint64_t> byte_offsets;  // n+1, into the blob
-};
-
-V3Frame read_v3_frame(ByteReader& r, Scheme scheme, NodeId n) {
-  V3Frame f;
-  const std::uint64_t meta_count = r.u64();
-  if (meta_count > r.remaining() / 8) {
-    fail(StoreError::kStructure, "corrupt meta count");
-  }
-  f.meta.reserve(meta_count);
-  for (std::uint64_t i = 0; i < meta_count; ++i) f.meta.push_back(r.u64());
-  if (scheme == Scheme::kSlack) {
-    if (f.meta.empty() || f.meta[0] + 1 != f.meta.size()) {
-      fail(StoreError::kStructure, "slack net meta size mismatch");
-    }
-    f.slack_net = f.meta[0];
-  } else if (!f.meta.empty()) {
-    fail(StoreError::kStructure, "unexpected segment meta");
-  }
-  f.blob_bytes = r.u64();
-  r.skip(sf::v3_pad(r.pos()));
-  const std::uint64_t offsets_count = static_cast<std::uint64_t>(n) + 1;
-  if (offsets_count > r.remaining() / 8) {
-    fail(StoreError::kStructure, "offset table size mismatch");
-  }
-  f.byte_offsets.reserve(offsets_count);
-  for (std::uint64_t i = 0; i < offsets_count; ++i) {
-    f.byte_offsets.push_back(r.u64());
-    if (i > 0 && f.byte_offsets[i] < f.byte_offsets[i - 1]) {
-      fail(StoreError::kStructure, "offsets not monotone");
-    }
-  }
-  if (f.byte_offsets.front() != 0 || f.byte_offsets.back() != f.blob_bytes) {
-    fail(StoreError::kStructure, "blob offset mismatch");
-  }
-  r.skip(sf::v3_pad(r.pos()));
-  return f;
-}
-
 }  // namespace
+
+// Decodes every segment of a checksummed (quarantined == nullptr) or
+// salvaged payload into payload_. The checksum only proves the payload
+// was not accidentally corrupted; every record is decoded and checked
+// against its slice before any query runs, so a checksum-valid crafted
+// file fails here instead of reading out of bounds later.
+void SketchStore::decode_payload(const sf::StoreHeader& hdr,
+                                 const std::vector<std::uint8_t>& body,
+                                 std::vector<char>* quarantined) {
+  const bool strict = quarantined == nullptr;
+  const auto scheme = static_cast<Scheme>(hdr.scheme_raw);
+  payload_.scheme = scheme;
+  n_ = hdr.n;
+  k_ = hdr.k;
+  epsilon_known_ = hdr.epsilon_known;
+  epsilon_ = hdr.epsilon;
+  if (hdr.segment_count == 0) fail(StoreError::kStructure, "no segments");
+  if (scheme != Scheme::kGraceful && hdr.segment_count != 1) {
+    fail(StoreError::kStructure, "segment count mismatch");
+  }
+  std::vector<CdgSketchSet> levels;
+  ByteReader r(body.data(), body.size());
+  for (std::uint32_t s = 0; s < hdr.segment_count; ++s) {
+    RecordTable t;
+    try {
+      t = hdr.version == 3 ? read_v3_segment(r, scheme, n_, strict)
+                           : read_legacy_segment(r, scheme, n_, strict);
+    } catch (const StoreCorruptionError&) {
+      // The framing of this segment is gone. Extra graceful levels are
+      // redundant approximations, so salvage keeps the earlier ones; for
+      // single-segment schemes nothing remains to serve.
+      if (!strict && scheme == Scheme::kGraceful && !levels.empty()) break;
+      throw;
+    }
+    switch (scheme) {
+      case Scheme::kThorupZwick:
+        payload_.tz = decode_tz_segment(t, n_, k_, quarantined);
+        break;
+      case Scheme::kSlack:
+        payload_.slack = decode_slack_segment(t, n_, quarantined);
+        break;
+      case Scheme::kCdg:
+        payload_.cdg = decode_cdg_segment(t, n_, quarantined);
+        break;
+      case Scheme::kGraceful:
+        levels.push_back(decode_cdg_segment(t, n_, quarantined));
+        break;
+    }
+  }
+  if (strict && !r.done()) {
+    fail(StoreError::kStructure, "trailing payload bytes");
+  }
+  if (scheme == Scheme::kGraceful) {
+    payload_.graceful = GracefulSketchSet(std::move(levels));
+  }
+}
 
 SketchStore SketchStore::read(std::istream& in) {
   const obs::Span span("store_read");
   const StoreHeader hdr = read_header(in);
-  SketchStore store;
-  store.scheme_ = static_cast<Scheme>(hdr.scheme_raw);
-  store.n_ = hdr.n;
-  store.k_ = hdr.k;
-  store.epsilon_known_ = hdr.epsilon_known;
-  store.epsilon_ = hdr.epsilon;
-
   const std::vector<std::uint8_t> body =
       read_body(in, hdr.payload_size, /*allow_short=*/false);
   if (sf::fnv1a64(body.data(), body.size()) != hdr.checksum) {
     fail(StoreError::kPayloadChecksum, "checksum mismatch");
   }
-
-  ByteReader r(body.data(), body.size());
-  store.segments_.reserve(hdr.segment_count);
-  if (hdr.version == 3) {
-    for (std::uint32_t s = 0; s < hdr.segment_count; ++s) {
-      V3Frame f = read_v3_frame(r, store.scheme_, store.n_);
-      if (r.remaining() < f.blob_bytes) {
-        fail(StoreError::kTruncatedPayload, "truncated payload");
-      }
-      const std::uint8_t* blob = r.ptr();
-      Segment seg;
-      seg.meta = std::move(f.meta);
-      seg.offsets.reserve(store.n_ + 1);
-      for (NodeId u = 0; u < store.n_; ++u) {
-        seg.offsets.push_back(seg.arena.size());
-        if (!decode_record_v3(store.scheme_, blob + f.byte_offsets[u],
-                              blob + f.byte_offsets[u + 1], f.slack_net,
-                              seg.arena)) {
-          fail(StoreError::kStructure, "invalid v3 record");
-        }
-      }
-      seg.offsets.push_back(seg.arena.size());
-      r.skip(f.blob_bytes);
-      r.skip(sf::v3_pad(r.pos()));
-      store.segments_.push_back(std::move(seg));
-    }
-  } else {
-    for (std::uint32_t s = 0; s < hdr.segment_count; ++s) {
-      Segment seg;
-      const std::uint64_t meta_count = r.u64();
-      if (meta_count > r.remaining() / 8) {
-        fail(StoreError::kStructure, "corrupt meta count");
-      }
-      seg.meta.reserve(meta_count);
-      for (std::uint64_t i = 0; i < meta_count; ++i) {
-        seg.meta.push_back(r.u64());
-      }
-      const std::uint64_t offsets_count = r.u64();
-      if (offsets_count != static_cast<std::uint64_t>(store.n_) + 1 ||
-          offsets_count > r.remaining() / 8) {
-        fail(StoreError::kStructure, "offset table size mismatch");
-      }
-      seg.offsets.reserve(offsets_count);
-      for (std::uint64_t i = 0; i < offsets_count; ++i) {
-        seg.offsets.push_back(r.u64());
-        if (i > 0 && seg.offsets[i] < seg.offsets[i - 1]) {
-          fail(StoreError::kStructure, "offsets not monotone");
-        }
-      }
-      const std::uint64_t arena_count = r.u64();
-      if (arena_count != seg.offsets.back() ||
-          arena_count > r.remaining() / 4) {
-        fail(StoreError::kStructure, "arena size mismatch");
-      }
-      seg.arena.reserve(arena_count);
-      for (std::uint64_t i = 0; i < arena_count; ++i) {
-        seg.arena.push_back(r.u32());
-      }
-      store.segments_.push_back(std::move(seg));
-    }
-  }
-  if (!r.done()) fail(StoreError::kStructure, "trailing payload bytes");
-  if (store.segments_.empty()) fail(StoreError::kStructure, "no segments");
-  store.validate_structure();
+  SketchStore store;
+  store.decode_payload(hdr, body, nullptr);
   return store;
 }
 
-namespace {
-
-/// Whether arena words [begin, end) form a structurally valid record for
-/// `scheme` — the per-record core of validate_structure, shared with the
-/// quarantine pass of recover_file. For kSlack pass the fixed record width
-/// in `slack_record_words`.
-bool node_record_ok(Scheme scheme, const std::uint32_t* arena,
-                    std::uint64_t begin, std::uint64_t end,
-                    std::uint64_t slack_record_words) {
-  const auto label_ok = [&](std::uint64_t b, std::uint64_t e) {
-    if (e - b < 2) return false;
-    const PackedLabel label{arena + b};
-    return label.words() == e - b;
-  };
-  if (end < begin) return false;
-  switch (scheme) {
-    case Scheme::kThorupZwick:
-      return label_ok(begin, end);
-    case Scheme::kSlack:
-      return end - begin == slack_record_words;
-    case Scheme::kCdg:
-    case Scheme::kGraceful:
-      return end - begin >= kCdgPrefixWords + 2 &&
-             label_ok(begin + kCdgPrefixWords, end);
-  }
-  return false;
-}
-
-/// Appends the empty replacement record for a quarantined node: queries
-/// against it answer kInfDist ("don't know"), never a wrong finite value.
-void append_empty_record(Scheme scheme, std::vector<std::uint32_t>& arena,
-                         std::uint64_t slack_record_words) {
-  switch (scheme) {
-    case Scheme::kThorupZwick:
-      arena.push_back(0);  // levels
-      arena.push_back(0);  // bunch_count
-      return;
-    case Scheme::kSlack:
-      for (std::uint64_t i = 0; i < slack_record_words; ++i) {
-        arena.push_back(0xffffffffu);  // every net distance = kInfDist
-      }
-      return;
-    case Scheme::kCdg:
-    case Scheme::kGraceful:
-      arena.push_back(kInvalidNode);   // net_node
-      arena.push_back(0xffffffffu);    // net_dist = kInfDist (query guard)
-      arena.push_back(0xffffffffu);
-      arena.push_back(kInvalidNode);   // owner
-      arena.push_back(0);              // empty label
-      arena.push_back(0);
-      return;
-  }
-}
-
-}  // namespace
-
-// The checksum only proves the payload was not accidentally corrupted; the
-// query path indexes by record-internal counts, so those must be proven
-// consistent with the offset table before any query runs — otherwise a
-// checksum-valid crafted file reads out of bounds.
-void SketchStore::validate_structure() const {
-  const auto check = [](bool ok, const char* what) {
-    if (!ok) fail(StoreError::kStructure, what);
-  };
-  for (const Segment& seg : segments_) {
-    std::uint64_t slack_words = 0;
-    if (scheme_ == Scheme::kSlack) {
-      check(!seg.meta.empty() && seg.meta[0] + 1 == seg.meta.size(),
-            "slack net meta size mismatch");
-      slack_words = 2 * seg.meta[0];
-    } else {
-      check(seg.meta.empty(), "unexpected segment meta");
-    }
-    for (NodeId u = 0; u < n_; ++u) {
-      check(node_record_ok(scheme_, seg.arena.data(), seg.offsets[u],
-                           seg.offsets[u + 1], slack_words),
-            "invalid node record");
-    }
-  }
-}
-
-void SketchStore::save_file(const std::string& path, StoreFormat format) const {
+void SketchStore::save_file(const std::string& path) const {
   // Crash-safe publish: write the full store to a sibling temp file, force
   // it to stable storage, then atomically rename over the target. A reader
   // of `path` (or a crash at any point here) sees either the previous
@@ -743,7 +725,7 @@ void SketchStore::save_file(const std::string& path, StoreFormat format) const {
       fail(StoreError::kIo, "cannot open for write: " + tmp);
     }
     try {
-      write(out, format);
+      write(out);
       out.flush();
     } catch (...) {
       out.close();
@@ -808,133 +790,16 @@ SketchStore::Recovery SketchStore::recover_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) fail(StoreError::kIo, "cannot open for read: " + path);
   const StoreHeader hdr = read_header(in);
-  Recovery rec;
-  SketchStore& store = rec.store;
-  store.scheme_ = static_cast<Scheme>(hdr.scheme_raw);
-  store.n_ = hdr.n;
-  store.k_ = hdr.k;
-  store.epsilon_known_ = hdr.epsilon_known;
-  store.epsilon_ = hdr.epsilon;
-
   const std::vector<std::uint8_t> body =
       read_body(in, hdr.payload_size, /*allow_short=*/true);
-  std::vector<char> quarantined(store.n_, 0);
-
   // Segment framing (meta + offsets) must parse for a segment to be
-  // salvageable at all; the arena/blob may be short (truncation) and
-  // individual records may be garbage (bit flips) — those quarantine per
-  // node.
-  ByteReader r(body.data(), body.size());
-  for (std::uint32_t s = 0; s < hdr.segment_count; ++s) {
-    Segment seg;
-    std::uint64_t slack_words = 0;
-    if (hdr.version == 3) {
-      V3Frame f;
-      try {
-        f = read_v3_frame(r, store.scheme_, store.n_);
-      } catch (const StoreCorruptionError&) {
-        // Framing of this segment is gone. Extra graceful levels are
-        // redundant approximations, so keeping the earlier ones is sound;
-        // for single-segment schemes nothing remains to serve.
-        if (store.scheme_ == Scheme::kGraceful && !store.segments_.empty()) {
-          break;
-        }
-        throw;
-      }
-      slack_words = 2 * f.slack_net;
-      seg.meta = std::move(f.meta);
-      const std::uint64_t available =
-          std::min<std::uint64_t>(f.blob_bytes, r.remaining());
-      const std::uint8_t* blob = r.ptr();
-      seg.offsets.reserve(store.n_ + 1);
-      for (NodeId u = 0; u < store.n_; ++u) {
-        seg.offsets.push_back(seg.arena.size());
-        const bool ok =
-            f.byte_offsets[u + 1] <= available &&
-            decode_record_v3(store.scheme_, blob + f.byte_offsets[u],
-                             blob + f.byte_offsets[u + 1], f.slack_net,
-                             seg.arena);
-        if (!ok) {
-          quarantined[u] = 1;
-          append_empty_record(store.scheme_, seg.arena, slack_words);
-        }
-      }
-      seg.offsets.push_back(seg.arena.size());
-      r.skip_at_most(f.blob_bytes);
-      r.skip_at_most(sf::v3_pad(r.pos()));
-      store.segments_.push_back(std::move(seg));
-      continue;
-    }
-    std::uint64_t declared = 0;
-    try {
-      const std::uint64_t meta_count = r.u64();
-      if (meta_count > r.remaining() / 8) {
-        fail(StoreError::kStructure, "corrupt meta count");
-      }
-      for (std::uint64_t i = 0; i < meta_count; ++i) {
-        seg.meta.push_back(r.u64());
-      }
-      if (store.scheme_ == Scheme::kSlack) {
-        if (seg.meta.empty() || seg.meta[0] + 1 != seg.meta.size()) {
-          fail(StoreError::kStructure, "slack net meta size mismatch");
-        }
-        slack_words = 2 * seg.meta[0];
-      } else if (!seg.meta.empty()) {
-        fail(StoreError::kStructure, "unexpected segment meta");
-      }
-      const std::uint64_t offsets_count = r.u64();
-      if (offsets_count != static_cast<std::uint64_t>(store.n_) + 1 ||
-          offsets_count > r.remaining() / 8) {
-        fail(StoreError::kStructure, "offset table size mismatch");
-      }
-      for (std::uint64_t i = 0; i < offsets_count; ++i) {
-        seg.offsets.push_back(r.u64());
-        if (i > 0 && seg.offsets[i] < seg.offsets[i - 1]) {
-          fail(StoreError::kStructure, "offsets not monotone");
-        }
-      }
-      declared = r.u64();
-    } catch (const StoreCorruptionError&) {
-      // Framing of this segment is gone (see the v3 comment above).
-      if (store.scheme_ == Scheme::kGraceful && !store.segments_.empty()) {
-        break;
-      }
-      throw;
-    }
-    const std::uint64_t available =
-        std::min<std::uint64_t>(declared, r.remaining() / 4);
-    std::vector<std::uint32_t> raw;
-    raw.reserve(available);
-    for (std::uint64_t i = 0; i < available; ++i) raw.push_back(r.u32());
-
-    // Rebuild the arena keeping every record that is fully present and
-    // structurally valid; quarantine the rest.
-    std::vector<std::uint64_t> new_offsets;
-    std::vector<std::uint32_t> new_arena;
-    new_offsets.reserve(store.n_ + 1);
-    for (NodeId u = 0; u < store.n_; ++u) {
-      new_offsets.push_back(new_arena.size());
-      const std::uint64_t begin = seg.offsets[u];
-      const std::uint64_t end = seg.offsets[u + 1];
-      const bool ok =
-          end <= available &&
-          node_record_ok(store.scheme_, raw.data(), begin, end, slack_words);
-      if (ok) {
-        new_arena.insert(new_arena.end(), raw.begin() + begin,
-                         raw.begin() + end);
-      } else {
-        quarantined[u] = 1;
-        append_empty_record(store.scheme_, new_arena, slack_words);
-      }
-    }
-    new_offsets.push_back(new_arena.size());
-    seg.offsets = std::move(new_offsets);
-    seg.arena = std::move(new_arena);
-    store.segments_.push_back(std::move(seg));
-  }
-  if (store.segments_.empty()) fail(StoreError::kStructure, "no segments");
-  store.validate_structure();
-  for (NodeId u = 0; u < store.n_; ++u) {
+  // salvageable at all; the blob may be short (truncation) and
+  // individual records may be garbage (bit flips) — those quarantine
+  // per node.
+  Recovery rec;
+  std::vector<char> quarantined(hdr.n, 0);
+  rec.store.decode_payload(hdr, body, &quarantined);
+  for (NodeId u = 0; u < hdr.n; ++u) {
     if (quarantined[u]) rec.quarantined.push_back(u);
   }
   return rec;

@@ -1,32 +1,24 @@
 /// \file
-/// Compact binary sketch store — the serving-tier representation.
+/// Binary sketch store — the serving-tier representation.
 ///
 /// The paper's deployment story (§1) is build-once / query-many: the
 /// expensive distributed construction runs offline, and the resulting
-/// sketches are shipped to query frontends. The text format in
-/// core/serialization is convenient for debugging but parses into
-/// pointer-heavy per-node structures (vectors + hash maps). This store
-/// instead keeps every scheme in one contiguous arena:
-///
-///   header | per-segment { meta | offset table (n+1) | packed arena }
-///
-/// A node's sketch is the half-open arena slice [offsets[u], offsets[u+1])
-/// of 32-bit words; distances occupy two words (lo, hi). TZ bunch entries
-/// are stored sorted by node id so membership tests are branchless binary
-/// searches. Queries parse records in place: zero per-query allocation,
-/// and answers are bit-identical to SketchOracle::query (tested).
+/// sketches are shipped to query frontends. A SketchStore holds exactly
+/// the payload a SketchOracle holds (core/sketch_oracle's SketchPayload:
+/// a LabelArena for tz, the Slack/Cdg/GracefulSketchSet otherwise) and
+/// answers through the same SketchPayload::query, so a store and the
+/// oracle it came from answer bit-identically by construction. Its
+/// persistent form is the v3 file below; serve/mmap_store serves the
+/// same file in place.
 ///
 /// On-disk layout (little-endian):
 ///   bytes 0..7   magic "DSKSTOR3"  (v1 "DSKSTOR1" / v2 "DSKSTOR2" files
-///                                   still load through the heap path)
+///                                   are read-only: load, convert, recover)
 ///   u32 version, u32 scheme, u32 n, u32 k, u32 segments, u32 flags
 ///   f64 epsilon                       (flags bit 0: epsilon was recorded)
 ///   u64 payload_bytes, u64 checksum (FNV-1a 64 over the payload)
 ///   u64 header_checksum             (v2/v3: FNV-1a 64 over the 48
 ///                                    header bytes after the magic)
-///   v1/v2 payload: per segment u64 meta_count, u64 meta[],
-///            u64 offsets[n+1] (u32-word units), u64 arena_count,
-///            u32 arena[]
 ///   v3 payload (starts at file offset 64): per segment
 ///            u64 meta_count, u64 meta[], u64 blob_bytes,
 ///            zero pad to the next 4096-byte file boundary,
@@ -34,23 +26,29 @@
 ///            offsets[n]=blob_bytes), pad to 4096,
 ///            u8 blob[blob_bytes] (delta+varint records, see
 ///            serve/label_codec.hpp), pad to 4096
+///   Segments: one for tz/slack/cdg, one per epsilon level for graceful;
+///   slack's meta is [|net|, net ids...], the other schemes have none.
 ///   The v3 pads are inside the payload checksum. Page-aligning the
 ///   offset table and the blob is what lets serve/mmap_store map the
 ///   file and serve queries straight off the encoded bytes.
+///   v1/v2 payload (legacy, read-only): per segment u64 meta_count,
+///            u64 meta[], u64 offsets[n+1] (u32-word units), u64
+///            arena_count, u32 arena[] of fixed-width word records
+///            (D = 2-word little-endian distance):
+///              tz     [levels, count, (pivot_id, D) x levels,
+///                      (node, level, D) x count sorted by node]
+///              slack  [D x |net|]
+///              cdg    [net_node, D, owner, <tz record of L(owner)>]
 ///
 /// Durability: save_file writes a temp file of its own, fsyncs, then
 /// renames into place, so neither a crash mid-save nor a concurrent save
 /// to the same path ever leaves a torn store at the target path. Loads
-/// bounds-check every section before trusting it and throw
-/// StoreCorruptionError (a std::runtime_error) with a typed diagnosis;
-/// recover_file salvages the intact node records of a corrupt file.
-///
-/// Record layouts (u32 words; D = 2-word little-endian distance):
-///   tz       [levels, bunch_count, (pivot_id, D) x levels,
-///             (node, level, D) x bunch_count sorted by node]
-///   slack    [D x |net|]               (net ids live in the segment meta)
-///   cdg      [net_node, D, owner, <tz record of L(owner)>]
-///   graceful one cdg segment per epsilon level
+/// bounds-check every section and decode every record before trusting
+/// it, and throw StoreCorruptionError (a std::runtime_error) with a typed
+/// diagnosis; recover_file salvages the intact node records of a corrupt
+/// file. A tz record must carry the store's k levels; the one exception
+/// is the empty (0 levels, 0 entries) record older builds wrote for a
+/// quarantined node, which loads as k invalid pivots and no entries.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +60,13 @@
 
 #include "core/config.hpp"
 #include "core/oracle.hpp"
+#include "core/sketch_oracle.hpp"
 #include "graph/graph.hpp"
 
 namespace dsketch {
+namespace store_format {
+struct StoreHeader;
+}  // namespace store_format
 
 /// What exactly a store load found wrong. Ordered roughly by how early in
 /// the pipeline the fault is detected.
@@ -92,25 +94,23 @@ class StoreCorruptionError : public std::runtime_error {
   StoreError kind_;
 };
 
-/// Which on-disk encoding write()/save_file() emit. v3 (the default) is
-/// the delta+varint page-aligned format mmap serving needs; v2 is the
-/// fixed-width word format, kept writable for back-compat tests and
-/// downgrade paths. Reads sniff the version from the magic.
-enum class StoreFormat { kV2 = 2, kV3 = 3 };
+/// The on-disk encoding write() emits: v3, the delta+varint page-aligned
+/// format mmap serving needs. Reads sniff the version from the magic and
+/// also accept the legacy v1/v2 word formats.
+enum class StoreFormat { kV3 = 3 };
 
-/// Packed, checksummed, query-ready sketches for all four schemes. A
-/// SketchStore is itself a DistanceOracle — the serving-tier
-/// representation of one — so anything that takes an oracle (the query
-/// service, evaluate_stretch, the benches) serves straight from the
-/// packed arena; the inherited query_batch is the zero-alloc packed
-/// query path.
+/// Checksummed, query-ready sketches for all four schemes. A SketchStore
+/// is itself a DistanceOracle — the serving-tier representation of one —
+/// so anything that takes an oracle (the query service, evaluate_stretch,
+/// the benches) serves straight from it.
 class SketchStore final : public DistanceOracle {
  public:
   /// An empty store (no nodes); fill via from_oracle/read.
   SketchStore() = default;
 
-  /// Packs a sketch-backed oracle's payload. Throws std::runtime_error
-  /// for oracles without a packed representation (the baselines).
+  /// Copies a sketch-backed oracle's payload (a SketchOracle's, or a
+  /// TzLabelOracle's label arena). Throws std::runtime_error for oracles
+  /// without a store representation (the baselines).
   static SketchStore from_oracle(const DistanceOracle& oracle);
 
   /// Whether from_oracle(oracle) would succeed — the one predicate the
@@ -118,14 +118,14 @@ class SketchStore final : public DistanceOracle {
   static bool packable(const DistanceOracle& oracle);
 
   /// Binary round trip. read()/load_file() validate magic, version,
-  /// header checksum (v2), structural sizes, and the payload checksum,
-  /// throwing StoreCorruptionError on any mismatch. save_file is atomic:
-  /// temp file + fsync + rename, so readers of `path` see either the old
-  /// complete store or the new complete store, never a torn write.
+  /// header checksum (v2/v3), structural sizes, the payload checksum and
+  /// every record, throwing StoreCorruptionError on any mismatch.
+  /// save_file is atomic: temp file + fsync + rename, so readers of
+  /// `path` see either the old complete store or the new complete store,
+  /// never a torn write. Both write v3.
   void write(std::ostream& out, StoreFormat format = StoreFormat::kV3) const;
   static SketchStore read(std::istream& in);
-  void save_file(const std::string& path,
-                 StoreFormat format = StoreFormat::kV3) const;
+  void save_file(const std::string& path) const;
   static SketchStore load_file(const std::string& path);
 
   /// Best-effort salvage of a corrupt store file. Parses the framing with
@@ -145,22 +145,26 @@ class SketchStore final : public DistanceOracle {
   /// frontend hands to its QueryService.
   static std::unique_ptr<DistanceOracle> load_oracle(const std::string& path);
 
-  /// Distance estimate from the two packed sketches only; allocation-free
-  /// and safe to call concurrently from any number of threads.
+  /// Distance estimate from the two sketches only (SketchPayload::query);
+  /// allocation-free and safe to call concurrently from any number of
+  /// threads.
   Dist query(NodeId u, NodeId v) const override;
 
-  /// Packed words stored for node u, summed across segments.
+  /// The oracle word model for node u (SketchPayload::size_words): the
+  /// same number the oracle the store came from reports.
   std::size_t size_words(NodeId u) const override;
-  /// Registry name of the packed family ("tz", "slack", ...).
-  std::string scheme() const override { return scheme_name(scheme_); }
+  /// Registry name of the stored family ("tz", "slack", ...).
+  std::string scheme() const override {
+    return scheme_name(payload_.scheme);
+  }
   /// Worst-case guarantee with the recorded k/epsilon filled in.
   std::string guarantee() const override;
-  /// Capabilities of the packed family (no build cost: it was paid by
+  /// Capabilities of the stored family (no build cost: it was paid by
   /// whoever built; no text save: write()/save_file() persist a store).
   Capabilities capabilities() const override;
 
   /// The sketch family the store holds.
-  Scheme store_scheme() const { return scheme_; }
+  Scheme store_scheme() const { return payload_.scheme; }
   /// Nodes covered (valid query ids are [0, n)).
   NodeId num_nodes() const override { return n_; }
   /// The TZ/CDG hierarchy depth recorded at build time.
@@ -171,46 +175,39 @@ class SketchStore final : public DistanceOracle {
   /// is then a default, not the recorded build value, and write() keeps
   /// the flag clear to preserve that provenance.
   bool epsilon_known() const { return epsilon_known_; }
-  /// Packed segments (1 for tz/slack/cdg; one per level for graceful).
-  std::size_t num_segments() const { return segments_.size(); }
+  /// Segments (1 for tz/slack/cdg; one per level for graceful).
+  std::size_t num_segments() const;
 
-  /// Total packed payload size (arena + offsets + meta), in bytes —
-  /// the fixed-width v1/v2 word model.
+  /// Resident bytes of the in-memory payload
+  /// (SketchPayload::resident_bytes).
   std::size_t payload_bytes() const;
 
   /// The v3 (delta+varint) payload size in bytes, including the
   /// page-alignment padding — what `save_file` actually puts on disk
-  /// past the 64-byte header. The honest serving-footprint number the
-  /// benches report next to the word-model size.
+  /// past the 64-byte header.
   std::size_t encoded_bytes() const;
 
   /// v3-encoded bytes of node u's records, summed across segments — the
-  /// per-node serving footprint without file framing or padding. The
-  /// word model (size_words) double-counts against this: it bills 4
-  /// bytes per u32 word where the varint coding typically spends 1-2.
+  /// per-node serving footprint without file framing or padding, next
+  /// to the word model's count (size_words).
   std::size_t encoded_record_bytes(NodeId u) const;
 
-  /// Arena words backing node u's record in segment 0 (diagnostics).
-  std::size_t node_record_words(NodeId u) const;
-
  private:
-  struct Segment {
-    std::vector<std::uint64_t> meta;
-    std::vector<std::uint64_t> offsets;  // n+1 entries, in u32 units
-    std::vector<std::uint32_t> arena;
-  };
-
-  Dist query_segment(const Segment& seg, NodeId u, NodeId v) const;
-  void validate_structure() const;
-  std::vector<std::uint8_t> build_v2_payload() const;
+  void encode_record(std::size_t segment, NodeId u,
+                     std::vector<std::uint8_t>& out) const;
   std::vector<std::uint8_t> build_v3_payload() const;
+  /// Takes the header's identity and decodes every segment of `body`;
+  /// `quarantined` null means strict (any bad record throws), else bad
+  /// records are flagged there and replaced by kInfDist-answering ones.
+  void decode_payload(const store_format::StoreHeader& hdr,
+                      const std::vector<std::uint8_t>& body,
+                      std::vector<char>* quarantined);
 
-  Scheme scheme_ = Scheme::kThorupZwick;
   NodeId n_ = 0;
   std::uint32_t k_ = 0;
   double epsilon_ = 0.0;
   bool epsilon_known_ = true;
-  std::vector<Segment> segments_;
+  SketchPayload payload_;
 };
 
 /// Result of SketchStore::recover_file — see its doc comment.

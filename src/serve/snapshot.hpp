@@ -1,22 +1,23 @@
 /// \file
-/// Generation-tagged atomic oracle snapshots — the hot-swap primitive of
+/// Generation-tagged oracle snapshots — the hot-swap primitive of
 /// the serving tier.
 ///
 /// A serving frontend holds its DistanceOracle behind an OracleSlot. The
-/// query path calls load() once per batch and works against the returned
+/// query path calls pin() once per batch and works against the returned
 /// snapshot for the whole batch: oracle pointer, generation number, and
 /// the capability bits the cache policy needs are captured together, so a
-/// concurrent swap can never tear a batch across two oracles. Publishing
-/// a rebuilt oracle (store()) is one atomic pointer flip — readers never
-/// block on it, and the old oracle stays alive until the last in-flight
-/// batch drops its shared_ptr.
+/// concurrent swap can never tear a batch across two oracles. Readers and
+/// the publisher (store()) share one mutex held only for a shared_ptr
+/// copy or swap: a batch takes it once, and the old oracle stays alive
+/// until the last in-flight batch drops its shared_ptr. (A mutex rather
+/// than std::atomic<std::shared_ptr>: libstdc++ 12's lock-bit
+/// implementation of the latter is reported as a data race by TSan.)
 ///
 /// Generations are strictly increasing and identify which oracle answered
 /// a batch; the query service invalidates per-shard caches by comparing
 /// the shard's recorded generation against the pinned snapshot's.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -36,63 +37,71 @@ struct OracleSnapshot {
   bool symmetric = false;
 };
 
-/// The swappable slot. load() is the wait-free reader side (one atomic
-/// shared_ptr load); store() serializes writers and bumps the generation.
+/// The swappable slot. Every accessor copies under one mutex; store()
+/// bumps the generation.
 class OracleSlot {
  public:
+  /// What a batch pins: the current snapshot and the one it displaced.
+  struct Pinned {
+    OracleSnapshot current;
+    /// The degraded-mode failover target (query_service circuit
+    /// breaker); its oracle is null until the first store().
+    OracleSnapshot previous;
+  };
+
   /// The slot always holds an oracle; generation starts at 0.
   explicit OracleSlot(std::shared_ptr<const DistanceOracle> initial) {
     DS_CHECK(initial != nullptr);
-    snap_.store(make_snapshot(std::move(initial), 0),
-                std::memory_order_release);
+    current_ = make_snapshot(std::move(initial), 0);
   }
 
-  /// The current snapshot; safe from any thread, never blocks on store().
+  /// The current snapshot; safe from any thread.
   OracleSnapshot load() const {
-    return *snap_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return current_;
   }
 
-  /// The snapshot displaced by the most recent store() — kept alive as the
-  /// degraded-mode failover target (query_service circuit breaker). The
-  /// oracle pointer is null until the first store().
-  OracleSnapshot previous() const {
-    const auto p = prev_.load(std::memory_order_acquire);
-    return p ? *p : OracleSnapshot{};
+  /// The current snapshot and its predecessor, read together.
+  Pinned pin() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return Pinned{current_, previous_};
   }
 
-  /// Publishes `next` under the next generation and returns it. The flip
-  /// itself is one atomic store; the mutex only serializes concurrent
-  /// publishers so generations stay monotonic. The displaced snapshot
-  /// becomes previous().
+  /// Publishes `next` under the next generation and returns it. The
+  /// displaced snapshot becomes the pinned `previous`.
   std::uint64_t store(std::shared_ptr<const DistanceOracle> next) {
     DS_CHECK(next != nullptr);
-    std::lock_guard<std::mutex> lock(writer_mu_);
-    const auto current = snap_.load(std::memory_order_acquire);
-    const std::uint64_t generation = current->generation + 1;
-    prev_.store(current, std::memory_order_release);
-    snap_.store(make_snapshot(std::move(next), generation),
-                std::memory_order_release);
-    return generation;
+    OracleSnapshot snap = make_snapshot(std::move(next), 0);
+    // The snapshot displaced from `previous` may hold the last reference
+    // to its oracle: it is destroyed after the lock is released, so no
+    // batch waits on freeing an oracle.
+    OracleSnapshot displaced;
+    std::lock_guard<std::mutex> lock(mu_);
+    snap.generation = current_.generation + 1;
+    displaced =
+        std::exchange(previous_, std::exchange(current_, std::move(snap)));
+    return current_.generation;
   }
 
   std::uint64_t generation() const {
-    return snap_.load(std::memory_order_acquire)->generation;
+    std::lock_guard<std::mutex> lock(mu_);
+    return current_.generation;
   }
 
  private:
-  static std::shared_ptr<const OracleSnapshot> make_snapshot(
+  static OracleSnapshot make_snapshot(
       std::shared_ptr<const DistanceOracle> oracle,
       std::uint64_t generation) {
-    auto snap = std::make_shared<OracleSnapshot>();
-    snap->symmetric = oracle->capabilities().symmetric;
-    snap->oracle = std::move(oracle);
-    snap->generation = generation;
+    OracleSnapshot snap;
+    snap.symmetric = oracle->capabilities().symmetric;
+    snap.oracle = std::move(oracle);
+    snap.generation = generation;
     return snap;
   }
 
-  std::atomic<std::shared_ptr<const OracleSnapshot>> snap_;
-  std::atomic<std::shared_ptr<const OracleSnapshot>> prev_;
-  std::mutex writer_mu_;
+  mutable std::mutex mu_;
+  OracleSnapshot current_;
+  OracleSnapshot previous_;
 };
 
 /// Wraps a caller-owned oracle reference in a non-owning shared_ptr (the

@@ -158,6 +158,10 @@ Dist CdgSketchSet::query(NodeId u, NodeId v) const {
   if (u == v) return 0;
   const NodeSketch& su = sketches_[u];
   const NodeSketch& sv = sketches_[v];
+  // An infinite net distance (no reachable net node, or a quarantined
+  // store record) must not reach the sum below: two such nodes share the
+  // invalid owner, so mid is 0 and the sum would wrap to a finite value.
+  if (su.net_dist == kInfDist || sv.net_dist == kInfDist) return kInfDist;
   const Dist mid = tz_query(su.label.view(), sv.label.view());
   if (mid == kInfDist) return kInfDist;
   return su.net_dist + mid + sv.net_dist;

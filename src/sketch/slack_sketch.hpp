@@ -37,8 +37,8 @@ class SlackSketchSet {
     return 2 * net_.size();
   }
 
-  /// Distance from u to the i-th net node (test hook).
-  Dist net_dist(NodeId u, std::size_t i) const { return dist_[u][i]; }
+  /// Node u's distances to the net nodes, in net() order.
+  const std::vector<Dist>& row(NodeId u) const { return dist_[u]; }
 
  private:
   std::vector<NodeId> net_;

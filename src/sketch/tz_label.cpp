@@ -30,14 +30,16 @@ bool operator==(const LabelView& a, const LabelView& b) {
   return true;
 }
 
+TzLabelBuilder::TzLabelBuilder(NodeId owner, std::vector<DistKey> pivots,
+                               std::vector<BunchEntry> bunch)
+    : owner_(owner),
+      pivots_(std::move(pivots)),
+      bunch_(std::move(bunch)),
+      sorted_(std::is_sorted(bunch_.begin(), bunch_.end(), bunch_order)) {}
+
 TzLabelBuilder TzLabelBuilder::from_view(const LabelView& v) {
-  TzLabelBuilder b(v.owner, v.levels);
-  for (std::uint32_t i = 0; i < v.levels; ++i) {
-    b.pivots_[i] = v.pivots[i];
-  }
-  b.bunch_.assign(v.bunch, v.bunch + v.count);
-  b.sorted_ = std::is_sorted(b.bunch_.begin(), b.bunch_.end(), bunch_order);
-  return b;
+  return TzLabelBuilder(v.owner, {v.pivots, v.pivots + v.levels},
+                        {v.bunch, v.bunch + v.count});
 }
 
 void TzLabelBuilder::sort_bunch() {
@@ -86,6 +88,24 @@ LabelArena LabelArena::from_builders(std::vector<TzLabelBuilder> builders) {
   return arena;
 }
 
+LabelArena LabelArena::from_parts(std::uint32_t k, std::vector<DistKey> pivots,
+                                  std::vector<BunchEntry> entries,
+                                  const std::vector<std::uint32_t>& counts) {
+  DS_CHECK(pivots.size() == counts.size() * static_cast<std::size_t>(k));
+  LabelArena arena;
+  arena.k_ = k;
+  arena.slots_.resize(counts.size());
+  std::uint64_t begin = 0;
+  for (std::size_t u = 0; u < counts.size(); ++u) {
+    arena.slots_[u] = Slot{begin, counts[u]};
+    begin += counts[u];
+  }
+  DS_CHECK(begin == entries.size());
+  arena.pivots_ = std::move(pivots);
+  arena.entries_ = std::move(entries);
+  return arena;
+}
+
 double LabelArena::mean_size_words() const {
   if (slots_.empty()) return 0.0;
   std::size_t total = 0;
@@ -131,10 +151,6 @@ bool operator==(const LabelArena& a, const LabelArena& b) {
   return true;
 }
 
-Dist tz_query(const LabelView& lu, const LabelView& lv) {
-  return tz_query_trace(lu, lv).estimate;
-}
-
 Dist tz_query_exhaustive(const LabelView& lu, const LabelView& lv) {
   if (lu.owner == lv.owner) return 0;
   Dist best = kInfDist;
@@ -164,40 +180,6 @@ Dist tz_query_exhaustive(const LabelView& lu, const LabelView& lv) {
     }
   }
   return best;
-}
-
-TzQueryTrace tz_query_trace(const LabelView& lu, const LabelView& lv) {
-  TzQueryTrace t;
-  if (lu.owner == lv.owner) {
-    t.estimate = 0;
-    return t;
-  }
-  const std::uint32_t k = lu.levels < lv.levels ? lu.levels : lv.levels;
-  for (std::uint32_t i = 0; i < k; ++i) {
-    // p_i(u) in B(v)?
-    const DistKey& pu = lu.pivot(i);
-    if (pu.id != kInvalidNode) {
-      const Dist dv = lv.bunch_dist(pu.id);
-      if (dv != kInfDist) {
-        t.estimate = pu.dist + dv;
-        t.level = i;
-        t.used_u_pivot = true;
-        return t;
-      }
-    }
-    // p_i(v) in B(u)?
-    const DistKey& pv = lv.pivot(i);
-    if (pv.id != kInvalidNode) {
-      const Dist du = lu.bunch_dist(pv.id);
-      if (du != kInfDist) {
-        t.estimate = pv.dist + du;
-        t.level = i;
-        t.used_u_pivot = false;
-        return t;
-      }
-    }
-  }
-  return t;  // malformed / disconnected: kInfDist
 }
 
 }  // namespace dsketch

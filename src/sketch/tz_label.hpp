@@ -16,8 +16,8 @@
 //     finalize into an arena. sort_bunch() canonicalizes entries by
 //     (node id, level), the order every immutable consumer assumes.
 //   - LabelView: an immutable (pivots ptr, bunch ptr, count) triple over
-//     contiguous storage. Queries, packing, and serialization all walk
-//     views; membership tests are branch-light binary searches and the
+//     contiguous storage. Queries, the store codec, and serialization all
+//     walk views; membership tests are branch-light binary searches and the
 //     exhaustive query is a sorted-merge intersection. A view never owns —
 //     it is invalidated by any mutation of the storage behind it.
 //   - LabelArena: owns every label of one build as three flat vectors
@@ -79,20 +79,24 @@ struct LabelView {
 
   const DistKey& pivot(std::uint32_t level) const { return pivots[level]; }
 
-  /// Distance to w if w is in the bunch, kInfDist otherwise. Binary search
-  /// over the node-sorted entries; duplicates (one node at several levels)
-  /// resolve to the lowest level, which carries the same distance.
+  /// Distance to w if w is in the bunch, kInfDist otherwise. Three-way
+  /// binary search over the node-sorted entries that stops at the first
+  /// hit; duplicates (one node at several levels) carry the same
+  /// distance, so any of them answers.
   Dist bunch_dist(NodeId w) const {
     std::uint32_t lo = 0, hi = count;
     while (lo < hi) {
       const std::uint32_t mid = lo + (hi - lo) / 2;
-      if (bunch[mid].node < w) {
+      const NodeId node = bunch[mid].node;
+      if (node < w) {
         lo = mid + 1;
-      } else {
+      } else if (node > w) {
         hi = mid;
+      } else {
+        return bunch[mid].dist;
       }
     }
-    return lo < count && bunch[lo].node == w ? bunch[lo].dist : kInfDist;
+    return kInfDist;
   }
   bool bunch_contains(NodeId w) const { return bunch_dist(w) != kInfDist; }
 
@@ -115,9 +119,13 @@ class TzLabelBuilder {
  public:
   TzLabelBuilder() = default;
   TzLabelBuilder(NodeId owner, std::uint32_t k) : owner_(owner), pivots_(k) {}
+  /// Adopts filled buffers (a decoded cdg store record); the bunch may be
+  /// in any order.
+  TzLabelBuilder(NodeId owner, std::vector<DistKey> pivots,
+                 std::vector<BunchEntry> bunch);
 
-  /// Deep copy of an existing label back into mutable form (store
-  /// unpacking, dissemination reassembly).
+  /// Deep copy of an existing label back into mutable form
+  /// (dissemination reassembly).
   static TzLabelBuilder from_view(const LabelView& v);
 
   NodeId owner() const { return owner_; }
@@ -187,6 +195,13 @@ class LabelArena {
   /// the same level count). Unsorted builders are finalized here.
   static LabelArena from_builders(std::vector<TzLabelBuilder> builders);
 
+  /// Adopts already-flat buffers (the store decoder's output): k pivots
+  /// per node in node order, and node u's counts[u] bunch entries back
+  /// to back, sorted within each node.
+  static LabelArena from_parts(std::uint32_t k, std::vector<DistKey> pivots,
+                               std::vector<BunchEntry> entries,
+                               const std::vector<std::uint32_t>& counts);
+
   NodeId num_nodes() const { return static_cast<NodeId>(slots_.size()); }
   bool empty() const { return slots_.empty(); }
   std::uint32_t k() const { return k_; }
@@ -206,6 +221,11 @@ class LabelArena {
   double mean_size_words() const;
   /// Bunch entries across all labels (diagnostics / size accounting).
   std::size_t total_entries() const;
+  /// Bytes the three buffers hold (pivots, entries, per-node slots).
+  std::size_t resident_bytes() const {
+    return pivots_.size() * sizeof(DistKey) +
+           entries_.size() * sizeof(BunchEntry) + slots_.size() * sizeof(Slot);
+  }
 
   /// Monotone counter bumped by every mutation; lets consumers holding a
   /// derived artifact (snapshot, packed store) detect staleness.
@@ -243,11 +263,55 @@ class LabelArena {
   std::vector<Slot> slots_;         // n
 };
 
+/// Where the Lemma 3.2 query settles (for diagnostics / E1 analysis).
+struct TzQueryTrace {
+  Dist estimate = kInfDist;
+  std::uint32_t level = 0;
+  bool used_u_pivot = false;  ///< true if p_i(u) in B(v) fired, false if
+                              ///< the symmetric check fired
+};
+
+/// Lemma 3.2 with the level and side at which it settles. Inline: through
+/// tz_query this is the serving kernel of every in-memory tz
+/// representation, and the compiler drops the trace fields there.
+inline TzQueryTrace tz_query_trace(const LabelView& lu, const LabelView& lv) {
+  TzQueryTrace t;
+  if (lu.owner == lv.owner) {
+    t.estimate = 0;
+    return t;
+  }
+  const std::uint32_t k = lu.levels < lv.levels ? lu.levels : lv.levels;
+  for (std::uint32_t i = 0; i < k; ++i) {
+    const DistKey& pu = lu.pivots[i];  // p_i(u) in B(v)?
+    if (pu.id != kInvalidNode) {
+      const Dist dv = lv.bunch_dist(pu.id);
+      if (dv != kInfDist) {
+        t.estimate = pu.dist + dv;
+        t.level = i;
+        t.used_u_pivot = true;
+        return t;
+      }
+    }
+    const DistKey& pv = lv.pivots[i];  // p_i(v) in B(u)?
+    if (pv.id != kInvalidNode) {
+      const Dist du = lu.bunch_dist(pv.id);
+      if (du != kInfDist) {
+        t.estimate = pv.dist + du;
+        t.level = i;
+        return t;
+      }
+    }
+  }
+  return t;  // malformed / disconnected: kInfDist
+}
+
 /// Lemma 3.2: estimate d(u, v) from the two labels alone. Never
 /// underestimates; overestimates by at most (2k-1) when both labels come
 /// from the same hierarchy over the full vertex set. Returns kInfDist only
 /// if the labels are malformed (disconnected input).
-Dist tz_query(const LabelView& lu, const LabelView& lv);
+inline Dist tz_query(const LabelView& lu, const LabelView& lv) {
+  return tz_query_trace(lu, lv).estimate;
+}
 
 /// Exhaustive query variant: minimum of d(u,w) + d(w,v) over every node w
 /// present in both bunches, computed as one sorted-merge intersection of
@@ -257,13 +321,5 @@ Dist tz_query(const LabelView& lu, const LabelView& lv);
 /// O(|B(u)| + |B(v)|). The E1 bench reports the practical stretch gain.
 Dist tz_query_exhaustive(const LabelView& lu, const LabelView& lv);
 
-/// Level at which tz_query settles (for diagnostics / E1 analysis).
-struct TzQueryTrace {
-  Dist estimate = kInfDist;
-  std::uint32_t level = 0;
-  bool used_u_pivot = false;  ///< true if p_i(u) in B(v) fired, false if
-                              ///< the symmetric check fired
-};
-TzQueryTrace tz_query_trace(const LabelView& lu, const LabelView& lv);
 
 }  // namespace dsketch

@@ -40,11 +40,13 @@ FlagSet::FlagSet(int argc, const char* const* argv) {
 }
 
 std::string FlagSet::get(const std::string& key, const std::string& def) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   return it == values_.end() ? def : it->second;
 }
 
 std::int64_t FlagSet::get(const std::string& key, std::int64_t def) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
   // Derived 64-bit seeds may land in [2^63, 2^64); wrap them into the
@@ -58,17 +60,20 @@ std::int64_t FlagSet::get(const std::string& key, std::int64_t def) const {
 }
 
 double FlagSet::get(const std::string& key, double def) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   return it == values_.end() ? def : std::stod(it->second);
 }
 
 bool FlagSet::get_bool(const std::string& key, bool def) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
 std::string FlagSet::require(const std::string& key) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) {
     throw std::runtime_error("missing required flag --" + key);
@@ -81,6 +86,15 @@ std::vector<std::pair<std::string, std::string>> FlagSet::items() const {
                                                        values_.end());
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::vector<std::string> FlagSet::unread() const {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) == 0) keys.push_back(key);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 /// Parses "1,2,4" into integers; used for sweep-style CLI flags.

@@ -4,12 +4,20 @@
 //   flags.get("n", 1024);                  // typed lookup with default
 //   flags.require("graph");                // throws if missing
 //   flags.positional();                    // non-flag arguments in order
+//   flags.unread();                        // flags nothing looked up
+//
+// Every lookup (has/get/get_bool/require) marks its key as read, so a
+// front end can reject flags its subcommand never consulted — a typo or
+// a retired flag then fails loudly instead of changing nothing. The
+// marking makes lookups mutate: read one FlagSet from one thread at a
+// time.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -24,7 +32,10 @@ class FlagSet {
   /// synthesizing an argv.
   explicit FlagSet(const std::vector<std::pair<std::string, std::string>>& kv);
 
-  bool has(const std::string& key) const { return values_.count(key) != 0; }
+  bool has(const std::string& key) const {
+    read_.insert(key);
+    return values_.count(key) != 0;
+  }
 
   std::string get(const std::string& key, const std::string& def) const;
   std::int64_t get(const std::string& key, std::int64_t def) const;
@@ -39,9 +50,13 @@ class FlagSet {
   /// resolved parameters deterministically).
   std::vector<std::pair<std::string, std::string>> items() const;
 
+  /// Keys present that no lookup has asked for yet, sorted.
+  std::vector<std::string> unread() const;
+
  private:
   std::unordered_map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  mutable std::unordered_set<std::string> read_;
 };
 
 /// Parses "1,2,4" into integers; throws on an empty list.

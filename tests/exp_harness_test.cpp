@@ -8,19 +8,28 @@
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "graph/graph_io.hpp"
+#include "temp_path.hpp"
 
 namespace dsketch::exp {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh scratch directory per test.
-fs::path scratch(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("dsketch_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+/// A fresh directory of the running test's own (unique_temp_path, so
+/// concurrent runs never share one), removed again when the test ends.
+struct ScratchDir : fs::path {
+  explicit ScratchDir(const std::string& name)
+      : fs::path(unique_temp_path(name)) {
+    fs::remove_all(*this);
+    fs::create_directories(*this);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    fs::remove_all(*this, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+};
 
 TEST(JsonLines, ParsesFlatObjects) {
   JsonObject object;
@@ -51,7 +60,7 @@ TEST(JsonLines, RejectsMalformedInput) {
 }
 
 TEST(CorpusCache, ContentAddressingReusesAndRegenerates) {
-  const fs::path dir = scratch("corpus");
+  const ScratchDir dir("corpus");
   GraphSpec spec;
   spec.name = "ring64";
   spec.params = {{"topology", "ring"}, {"n", "64"}};
@@ -107,7 +116,7 @@ queries = 200
 }
 
 TEST(Runner, RunsResumesAndForces) {
-  const fs::path dir = scratch("runner");
+  const ScratchDir dir("runner");
   RunOptions opts;
   opts.out_dir = dir.string();
   opts.threads = 2;
@@ -138,7 +147,7 @@ TEST(Runner, RunsResumesAndForces) {
 }
 
 TEST(Runner, UnknownExperimentFailsFast) {
-  const fs::path dir = scratch("runner_bad");
+  const ScratchDir dir("runner_bad");
   Manifest m = parse_manifest(
       "name = \"bad\"\n[[cell]]\nexperiment = \"e99\"\n");
   RunOptions opts;
@@ -147,7 +156,7 @@ TEST(Runner, UnknownExperimentFailsFast) {
 }
 
 TEST(Runner, CellOutputValidRejectsBadArtifacts) {
-  const fs::path dir = scratch("validate");
+  const ScratchDir dir("validate");
   EXPECT_FALSE(cell_output_valid((dir / "missing.jsonl").string(), "x"));
   const fs::path garbage = dir / "garbage.jsonl";
   { std::ofstream(garbage) << "not json at all\n"; }
@@ -161,7 +170,7 @@ TEST(Runner, CellOutputValidRejectsBadArtifacts) {
 }
 
 TEST(Report, RendersTablesNotesAndCells) {
-  const fs::path dir = scratch("report");
+  const ScratchDir dir("report");
   RunOptions opts;
   opts.out_dir = dir.string();
   const RunSummary summary = run_manifest(tiny_manifest(), opts);
@@ -187,7 +196,7 @@ TEST(Report, RendersTablesNotesAndCells) {
 }
 
 TEST(Report, EmptyOutputDirectoryIsHandled) {
-  const fs::path dir = scratch("report_empty");
+  const ScratchDir dir("report_empty");
   const std::string report = generate_report(dir.string(), "none");
   EXPECT_NE(report.find("No cell artifacts found"), std::string::npos);
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "util/flags.hpp"
 
 namespace dsketch {
@@ -60,6 +63,25 @@ TEST(Flags, HasDetectsPresence) {
   const FlagSet f = make({"--a", "1"});
   EXPECT_TRUE(f.has("a"));
   EXPECT_FALSE(f.has("b"));
+}
+
+TEST(Flags, UnreadNamesEveryFlagNoLookupAskedFor) {
+  const FlagSet f =
+      make({"--store", "x", "--queries", "9", "--bogus-flag", "7", "--mmap",
+            "--verify=3", "--echo"});
+  EXPECT_EQ(f.unread(),
+            (std::vector<std::string>{"bogus-flag", "echo", "mmap", "queries",
+                                      "store", "verify"}));
+  // Every kind of lookup counts, whether or not it finds the flag, and
+  // positional arguments are never flags.
+  f.has("store");
+  f.get("queries", std::int64_t{0});
+  f.get_bool("mmap");
+  f.get("verify", 0.0);
+  f.require("echo");
+  f.get("absent", std::string{});
+  EXPECT_EQ(f.unread(), std::vector<std::string>{"bogus-flag"});
+  EXPECT_TRUE(make({"serve-bench"}).unread().empty());
 }
 
 }  // namespace

@@ -13,93 +13,69 @@
 
 #include "core/oracle_registry.hpp"
 #include "core/sketch_oracle.hpp"
-#include "dynamics/incremental.hpp"
 #include "graph/generators.hpp"
-#include "sketch/tz_centralized.hpp"
+#include "store_fixtures.hpp"
 #include "temp_path.hpp"
 
 namespace dsketch {
 namespace {
 
-BuildConfig config_for(Scheme scheme) {
-  BuildConfig cfg;
-  cfg.scheme = scheme;
-  cfg.k = 2;
-  cfg.epsilon = 0.25;
-  return cfg;
+/// FNV-1a 64 over bytes[begin, end), the store's checksum.
+std::uint64_t fnv(const std::string& bytes, std::size_t begin,
+                  std::size_t end) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (std::size_t i = begin; i < end; ++i) {
+    hash ^= static_cast<std::uint8_t>(bytes[i]);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
 }
 
-class SketchStoreSchemes : public ::testing::TestWithParam<Scheme> {
- protected:
-  SketchStoreSchemes()
-      : graph_(erdos_renyi(80, 0.08, {1, 9}, 17)),
-        oracle_(graph_, config_for(GetParam())) {}
+std::uint64_t u64_at(const std::string& bytes, std::size_t pos) {
+  std::uint64_t x = 0;
+  for (int i = 0; i < 8; ++i) {
+    x |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes[pos + i]))
+         << (8 * i);
+  }
+  return x;
+}
 
-  Graph graph_;
-  SketchOracle oracle_;
-};
+void patch_u32(std::string& bytes, std::size_t pos, std::uint32_t x) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[pos + i] = static_cast<char>((x >> (8 * i)) & 0xff);
+  }
+}
 
-TEST_P(SketchStoreSchemes, PackedQueriesMatchEngineBitIdentically) {
-  const SketchStore store = SketchStore::from_oracle(oracle_);
-  EXPECT_EQ(store.num_nodes(), graph_.num_nodes());
-  for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-    for (NodeId v = u; v < graph_.num_nodes(); v += 3) {
-      EXPECT_EQ(store.query(u, v), oracle_.query(u, v))
-          << "pair " << u << "," << v;
+/// Re-forges both checksums of a v2/v3 file after a crafted edit: the
+/// payload's (stored at byte 48, inside the checksummed header span
+/// [8, 56)) and then the header's own.
+void reforge_checksums(std::string& bytes) {
+  const auto patch_u64 = [&](std::size_t pos, std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[pos + i] = static_cast<char>((x >> (8 * i)) & 0xff);
     }
-  }
+  };
+  patch_u64(48, fnv(bytes, 64, bytes.size()));
+  patch_u64(56, fnv(bytes, 8, 56));
 }
 
-TEST_P(SketchStoreSchemes, BinaryRoundTripPreservesEverything) {
-  const SketchStore store = SketchStore::from_oracle(oracle_);
-  std::stringstream ss;
-  store.write(ss);
-  const SketchStore back = SketchStore::read(ss);
-  EXPECT_EQ(back.scheme(), store.scheme());
-  EXPECT_EQ(back.num_nodes(), store.num_nodes());
-  EXPECT_EQ(back.k(), store.k());
-  EXPECT_DOUBLE_EQ(back.epsilon(), store.epsilon());
-  for (NodeId u = 0; u < graph_.num_nodes(); u += 2) {
-    for (NodeId v = u + 1; v < graph_.num_nodes(); v += 5) {
-      EXPECT_EQ(back.query(u, v), oracle_.query(u, v));
-    }
-  }
+/// Byte position of tz record u's first word in a v2 file: 64-byte
+/// header, then meta_count(8) + offsets_count(8) + offsets(8*(n+1)) +
+/// arena_count(8), then the u32 arena.
+std::size_t v2_record_pos(const std::string& bytes, NodeId n, NodeId u) {
+  const std::size_t arena_start = 64 + 8 + 8 + 8 * (n + 1) + 8;
+  return arena_start + 4 * u64_at(bytes, 64 + 16 + 8 * u);
 }
-
-TEST_P(SketchStoreSchemes, TextConvertersRoundTrip) {
-  // The text path of `dsketch convert`: the registry envelope that
-  // `dsketch build --save` writes, loaded back through the registry, must
-  // pack into exactly the store bytes of the built oracle.
-  std::stringstream text;
-  oracle_.save(text);
-  const LoadedOracle loaded = OracleRegistry::instance().load(text);
-  ASSERT_NE(loaded.oracle, nullptr);
-  const SketchStore converted = SketchStore::from_oracle(*loaded.oracle);
-  const SketchStore built = SketchStore::from_oracle(oracle_);
-  for (const StoreFormat format : {StoreFormat::kV3, StoreFormat::kV2}) {
-    std::stringstream converted_bytes;
-    std::stringstream built_bytes;
-    converted.write(converted_bytes, format);
-    built.write(built_bytes, format);
-    EXPECT_EQ(converted_bytes.str(), built_bytes.str())
-        << "format v" << static_cast<int>(format);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Schemes, SketchStoreSchemes,
-                         ::testing::Values(Scheme::kThorupZwick,
-                                           Scheme::kSlack, Scheme::kCdg,
-                                           Scheme::kGraceful));
 
 class SketchStoreCorruption : public ::testing::Test {
  protected:
-  std::string valid_bytes(StoreFormat format = StoreFormat::kV3) {
+  std::string valid_bytes() {
     const Graph g = erdos_renyi(40, 0.1, {1, 5}, 3);
     BuildConfig cfg;
     cfg.scheme = Scheme::kThorupZwick;
     cfg.k = 2;
     std::stringstream ss;
-    SketchStore::from_oracle(SketchOracle(g, cfg)).write(ss, format);
+    SketchStore::from_oracle(SketchOracle(g, cfg)).write(ss);
     return ss.str();
   }
 };
@@ -141,45 +117,65 @@ TEST_F(SketchStoreCorruption, RejectsEmptyStream) {
 
 TEST_F(SketchStoreCorruption, RejectsChecksumValidStructuralCorruption) {
   // The checksum only detects accidental corruption; a crafted file can
-  // recompute it. Inflate the first TZ record's level count and patch
-  // the checksum: the structural validator must still reject the file
-  // (otherwise the first query would read out of bounds). This aims at
-  // the fixed-width v2 layout; store_v3_test covers the v3 equivalent.
-  std::string bytes = valid_bytes(StoreFormat::kV2);
-  const auto u32_at = [&](std::size_t pos) {
-    return static_cast<std::uint32_t>(
-        static_cast<std::uint8_t>(bytes[pos]) |
-        (static_cast<std::uint8_t>(bytes[pos + 1]) << 8) |
-        (static_cast<std::uint8_t>(bytes[pos + 2]) << 16) |
-        (static_cast<std::uint8_t>(bytes[pos + 3]) << 24));
-  };
-  const std::uint32_t n = u32_at(16);  // magic(8) + version + scheme
-  const auto fnv = [&](std::size_t begin, std::size_t end) {
-    std::uint64_t hash = 14695981039346656037ULL;
-    for (std::size_t i = begin; i < end; ++i) {
-      hash ^= static_cast<std::uint8_t>(bytes[i]);
-      hash *= 1099511628211ULL;
-    }
-    return hash;
-  };
-  const auto patch_u64 = [&](std::size_t pos, std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      bytes[pos + i] = static_cast<char>((x >> (8 * i)) & 0xff);
-    }
-  };
-  // v2 layout: magic(8) + 48 header bytes + header checksum(8) = 64, then
-  // the payload. For tz: meta_count(8) + offsets_count(8) +
-  // offsets(8*(n+1)) + arena_count(8); the next u32 is record 0's levels.
-  const std::size_t header_size = 64;
-  const std::size_t levels_pos = header_size + 24 + 8 * (n + 1);
+  // recompute it. Inflate the first TZ record's level count in the v2
+  // fixture and patch the checksums: the record decoder must still
+  // reject the file (otherwise the first query would read out of
+  // bounds). StoreV3Corruption covers the v3 equivalent.
+  std::string bytes = file_bytes(fixture_path("tz_v2.store"));
+  const NodeId n = static_cast<NodeId>(u64_at(bytes, 16) & 0xffffffffu);
+  const std::size_t levels_pos = v2_record_pos(bytes, n, 0);
   ASSERT_LT(levels_pos + 4, bytes.size());
   bytes[levels_pos] = static_cast<char>(0xEE);  // levels = huge
-  // Re-forge both checksums: payload (stored at byte 48, inside the
-  // checksummed header span [8, 56)) and then the header's own.
-  patch_u64(48, fnv(header_size, bytes.size()));
-  patch_u64(56, fnv(8, 56));
+  reforge_checksums(bytes);
   std::stringstream ss(bytes);
-  EXPECT_THROW(SketchStore::read(ss), std::runtime_error);
+  try {
+    SketchStore::read(ss);
+    FAIL() << "a structurally broken record must not load";
+  } catch (const StoreCorruptionError& e) {
+    EXPECT_EQ(e.kind(), StoreError::kStructure);
+  }
+}
+
+TEST_F(SketchStoreCorruption, RejectsTzRecordWithForeignLevelCount) {
+  // A tz record must carry the store's k levels. Re-shape one record of
+  // the v2 fixture (k = 2) into 6 levels and 3 fewer entries: the same
+  // word length, so it is a well-formed word record, but not a label of
+  // this store. The strict load fails closed; recovery quarantines just
+  // that node.
+  std::string bytes = file_bytes(fixture_path("tz_v2.store"));
+  const NodeId n = static_cast<NodeId>(u64_at(bytes, 16) & 0xffffffffu);
+  NodeId victim = n;
+  for (NodeId u = 0; u < n && victim == n; ++u) {
+    const std::size_t pos = v2_record_pos(bytes, n, u);
+    if (static_cast<std::uint8_t>(bytes[pos + 4]) >= 3) victim = u;
+  }
+  ASSERT_LT(victim, n) << "no record with 3 bunch entries";
+  const std::size_t pos = v2_record_pos(bytes, n, victim);
+  const auto count = static_cast<std::uint32_t>(
+      static_cast<std::uint8_t>(bytes[pos + 4]));
+  patch_u32(bytes, pos, 6);
+  patch_u32(bytes, pos + 4, count - 3);
+  reforge_checksums(bytes);
+  std::stringstream ss(bytes);
+  try {
+    SketchStore::read(ss);
+    FAIL() << "a record with foreign level count must not load";
+  } catch (const StoreCorruptionError& e) {
+    EXPECT_EQ(e.kind(), StoreError::kStructure);
+  }
+  const std::string path = unique_temp_path("foreign_levels.store");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const SketchStore::Recovery rec = SketchStore::recover_file(path);
+  EXPECT_EQ(rec.quarantined, std::vector<NodeId>{victim});
+  for (NodeId v = 0; v < n; ++v) {
+    if (v != victim) {
+      EXPECT_EQ(rec.store.query(victim, v), kInfDist);
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 TEST_F(SketchStoreCorruption, FuzzTruncationAndBitFlipsAlwaysTyped) {
@@ -210,19 +206,13 @@ class SketchStoreRecovery : public ::testing::Test {
   // A TZ store on disk plus the byte-level map needed to aim corruption at
   // a specific node record.
   void SetUp() override {
-    graph_ = erdos_renyi(40, 0.1, {1, 5}, 3);
-    BuildConfig cfg;
-    cfg.scheme = Scheme::kThorupZwick;
-    cfg.k = 2;
-    store_ = SketchStore::from_oracle(SketchOracle(graph_, cfg));
+    // The tz v2 fixture: the byte-offset map below is the fixed-width v2
+    // layout, so these tests double as legacy-format recovery coverage
+    // (store_v3_test has the v3 counterparts).
+    store_ = SketchStore::load_file(fixture_path("tz_v2.store"));
+    bytes_ = file_bytes(fixture_path("tz_v2.store"));
     path_ = unique_temp_path("recovery.bin");
-    // The byte-offset map below is the fixed-width v2 layout; these tests
-    // double as legacy-format recovery coverage (store_v3_test has the v3
-    // counterparts).
-    store_.save_file(path_, StoreFormat::kV2);
-    std::ifstream in(path_, std::ios::binary);
-    bytes_.assign(std::istreambuf_iterator<char>(in),
-                  std::istreambuf_iterator<char>());
+    write_file(bytes_);
     // v2 file: 64-byte header, then tz payload meta_count(8) +
     // offsets_count(8) + offsets(8*(n+1)) + arena_count(8) + arena.
     n_ = store_.num_nodes();
@@ -247,7 +237,6 @@ class SketchStoreRecovery : public ::testing::Test {
     out.write(data.data(), static_cast<std::streamsize>(data.size()));
   }
 
-  Graph graph_;
   SketchStore store_;
   std::string path_;
   std::string bytes_;
@@ -362,12 +351,6 @@ std::vector<std::string> leftovers(const std::string& dir,
     if (name != keep) names.push_back(name);
   }
   return names;
-}
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
 }
 
 TEST(SketchStoreAtomicSave, OverwriteLeavesNoTempAndOldOrNewStore) {
@@ -492,60 +475,6 @@ TEST(SketchStoreFiles, SaveAndLoadFile) {
   }
   EXPECT_THROW(SketchStore::load_file(path + ".missing"), std::runtime_error);
   std::filesystem::remove(path);
-}
-
-TEST(SketchStorePacking, TzLabelOraclePacksAndAnswersIdentically) {
-  // A bare TZ label set (the distributed build's output, or a dynamic
-  // sketch snapshot) must pack into the store and answer bit-identically.
-  const Graph g = erdos_renyi(70, 0.08, {1, 9}, 41);
-  const std::uint32_t k = 3;
-  Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 42);
-  std::uint64_t bump = 1;
-  while (!h.top_level_nonempty()) {
-    h = Hierarchy::sample(g.num_nodes(), k, 42 + bump++);
-  }
-  const LabelArena labels = build_tz_centralized(g, h);
-  const TzLabelOracle oracle(labels, k);
-  ASSERT_TRUE(SketchStore::packable(oracle));
-  const SketchStore store = SketchStore::from_oracle(oracle);
-  EXPECT_EQ(store.scheme(), "tz");
-  EXPECT_EQ(store.store_scheme(), Scheme::kThorupZwick);
-  EXPECT_EQ(store.k(), k);
-  EXPECT_EQ(store.num_nodes(), g.num_nodes());
-  // A label set records no build epsilon; the store must not invent one.
-  EXPECT_FALSE(store.epsilon_known());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    // The packed arena encoding differs from the label view's word count,
-    // but it must exist for every node.
-    EXPECT_GT(store.size_words(u), 0u) << "node " << u;
-    for (NodeId v = u; v < g.num_nodes(); v += 3) {
-      EXPECT_EQ(store.query(u, v), oracle.query(u, v))
-          << "pair " << u << "," << v;
-    }
-  }
-}
-
-TEST(SketchStorePacking, TzLabelStoreSurvivesBinaryRoundTrip) {
-  const Graph g = grid2d(6, 6, {1, 5}, 43);
-  const std::uint32_t k = 2;
-  Hierarchy h = Hierarchy::sample(g.num_nodes(), k, 44);
-  std::uint64_t bump = 1;
-  while (!h.top_level_nonempty()) {
-    h = Hierarchy::sample(g.num_nodes(), k, 44 + bump++);
-  }
-  const TzLabelOracle oracle(build_tz_centralized(g, h), k);
-  const SketchStore store = SketchStore::from_oracle(oracle);
-  std::stringstream ss;
-  store.write(ss);
-  const SketchStore back = SketchStore::read(ss);
-  EXPECT_EQ(back.scheme(), "tz");
-  EXPECT_EQ(back.k(), k);
-  EXPECT_FALSE(back.epsilon_known());
-  for (NodeId u = 0; u < g.num_nodes(); u += 2) {
-    for (NodeId v = u + 1; v < g.num_nodes(); v += 3) {
-      EXPECT_EQ(back.query(u, v), oracle.query(u, v));
-    }
-  }
 }
 
 }  // namespace

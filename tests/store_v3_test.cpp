@@ -22,6 +22,7 @@
 #include "serve/mmap_store.hpp"
 #include "serve/sketch_store.hpp"
 #include "serve/store_format.hpp"
+#include "store_fixtures.hpp"
 #include "temp_path.hpp"
 
 namespace dsketch {
@@ -84,55 +85,72 @@ TEST(ZigZag, RoundTripsSignedDeltas) {
 }
 
 // ---------------------------------------------------------------------------
-// record coding: synthetic tz record with the wrinkles the coder must
+// record coding: a synthetic tz label with the wrinkles the coder must
 // survive — invalid pivots, duplicate bunch nodes, non-monotone pivot
 // distances (the post-repair shape zigzag deltas exist for).
 
-std::vector<std::uint32_t> synthetic_tz_record() {
-  std::vector<std::uint32_t> rec;
-  const auto push_dist = [&](Dist d) {
-    rec.push_back(static_cast<std::uint32_t>(d & 0xffffffffu));
-    rec.push_back(static_cast<std::uint32_t>(d >> 32));
-  };
-  rec.push_back(3);  // levels
-  rec.push_back(4);  // bunch count
-  rec.push_back(7);                 // pivot 0
-  push_dist(0);
-  rec.push_back(kInvalidNode);      // pivot 1: invalid
-  push_dist(kInfDist);
-  rec.push_back(2);                 // pivot 2: distance *smaller* than p0's
-  push_dist(5);
-  // bunch sorted by (node, level); node 9 duplicated across levels.
-  rec.push_back(4); rec.push_back(0); push_dist(11);
-  rec.push_back(9); rec.push_back(0); push_dist(3);
-  rec.push_back(9); rec.push_back(2); push_dist(3);
-  rec.push_back(12); rec.push_back(1); push_dist((Dist{1} << 33) + 5);
-  return rec;
+struct SyntheticLabel {
+  std::vector<DistKey> pivots{{0, 7}, {kInfDist, kInvalidNode}, {5, 2}};
+  // Sorted by (node, level); node 9 duplicated across levels.
+  std::vector<BunchEntry> bunch{{4, 0, 11},
+                                {9, 0, 3},
+                                {9, 2, 3},
+                                {12, 1, (Dist{1} << 33) + 5}};
+
+  LabelView view() const {
+    return LabelView{kInvalidNode, static_cast<std::uint32_t>(pivots.size()),
+                     static_cast<std::uint32_t>(bunch.size()), pivots.data(),
+                     bunch.data()};
+  }
+};
+
+std::vector<std::uint8_t> synthetic_tz_record() {
+  std::vector<std::uint8_t> bytes;
+  encode_tz_record(SyntheticLabel().view(), bytes);
+  return bytes;
 }
 
 TEST(RecordCodec, TzRoundTripsBitExactly) {
-  const std::vector<std::uint32_t> rec = synthetic_tz_record();
-  std::vector<std::uint8_t> bytes;
-  encode_record_v3(Scheme::kThorupZwick, rec.data(), rec.size(), 0, bytes);
-  std::vector<std::uint32_t> back;
-  ASSERT_TRUE(decode_record_v3(Scheme::kThorupZwick, bytes.data(),
-                               bytes.data() + bytes.size(), 0, back));
-  EXPECT_EQ(back, rec);
-  // The varint coding must actually compress vs the 4-bytes-per-word
-  // fixed layout.
-  EXPECT_LT(bytes.size(), rec.size() * 4);
+  const SyntheticLabel label;
+  const std::vector<std::uint8_t> bytes = synthetic_tz_record();
+  std::vector<DistKey> pivots;
+  std::vector<BunchEntry> entries;
+  const V3TzHeader h = decode_tz_record(bytes.data(),
+                                        bytes.data() + bytes.size(), pivots,
+                                        entries);
+  ASSERT_TRUE(h.ok);
+  EXPECT_EQ(h.levels, label.pivots.size());
+  EXPECT_EQ(h.count, label.bunch.size());
+  EXPECT_EQ(pivots, label.pivots);
+  EXPECT_EQ(entries, label.bunch);
+  // The varint coding must actually compress vs the in-memory layout.
+  EXPECT_LT(bytes.size(), label.pivots.size() * sizeof(DistKey) +
+                              label.bunch.size() * sizeof(BunchEntry));
 }
 
 TEST(RecordCodec, DecodeRejectsEveryTruncation) {
-  const std::vector<std::uint32_t> rec = synthetic_tz_record();
-  std::vector<std::uint8_t> bytes;
-  encode_record_v3(Scheme::kThorupZwick, rec.data(), rec.size(), 0, bytes);
+  const std::vector<std::uint8_t> bytes = synthetic_tz_record();
   for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
-    std::vector<std::uint32_t> back;
-    EXPECT_FALSE(decode_record_v3(Scheme::kThorupZwick, bytes.data(),
-                                  bytes.data() + keep, 0, back))
+    std::vector<DistKey> pivots;
+    std::vector<BunchEntry> entries;
+    EXPECT_FALSE(
+        decode_tz_record(bytes.data(), bytes.data() + keep, pivots, entries)
+            .ok)
         << "kept " << keep << " of " << bytes.size();
-    EXPECT_TRUE(back.empty());
+  }
+  SyntheticLabel label;
+  std::vector<std::uint8_t> cdg;
+  LabelView view = label.view();
+  view.owner = 7;
+  encode_cdg_record(3, 17, view, cdg);
+  CdgSketchSet::NodeSketch sketch;
+  ASSERT_TRUE(decode_cdg_record(cdg.data(), cdg.data() + cdg.size(), sketch));
+  EXPECT_EQ(sketch.net_node, 3u);
+  EXPECT_EQ(sketch.net_dist, 17u);
+  EXPECT_TRUE(sketch.label.view() == view);
+  for (std::size_t keep = 0; keep < cdg.size(); ++keep) {
+    EXPECT_FALSE(decode_cdg_record(cdg.data(), cdg.data() + keep, sketch))
+        << "kept " << keep << " of " << cdg.size();
   }
 }
 
@@ -147,105 +165,16 @@ TEST(RecordCodec, DecodeSurvivesRandomBytes) {
   for (int trial = 0; trial < 2000; ++trial) {
     std::vector<std::uint8_t> bytes(trial % 37);
     for (auto& b : bytes) b = next();
-    std::vector<std::uint32_t> back;
-    decode_record_v3(Scheme::kThorupZwick, bytes.data(),
-                     bytes.data() + bytes.size(), 0, back);
+    const std::uint8_t* end = bytes.data() + bytes.size();
+    std::vector<DistKey> pivots;
+    std::vector<BunchEntry> entries;
+    decode_tz_record(bytes.data(), end, pivots, entries);
+    CdgSketchSet::NodeSketch sketch;
+    decode_cdg_record(bytes.data(), end, sketch);
+    std::vector<Dist> row;
+    decode_slack_record(bytes.data(), end, trial % 5, row);
   }
 }
-
-// ---------------------------------------------------------------------------
-// the file format end to end
-
-BuildConfig config_for(Scheme scheme) {
-  BuildConfig cfg;
-  cfg.scheme = scheme;
-  cfg.k = 2;
-  cfg.epsilon = 0.25;
-  return cfg;
-}
-
-class StoreV3Schemes : public ::testing::TestWithParam<Scheme> {
- protected:
-  StoreV3Schemes()
-      : graph_(erdos_renyi(80, 0.08, {1, 9}, 17)),
-        store_(SketchStore::from_oracle(
-            SketchOracle(graph_, config_for(GetParam())))) {}
-
-  Graph graph_;
-  SketchStore store_;
-};
-
-TEST_P(StoreV3Schemes, V3RoundTripAnswersIdentically) {
-  std::stringstream ss;
-  store_.write(ss, StoreFormat::kV3);
-  const SketchStore back = SketchStore::read(ss);
-  EXPECT_EQ(back.scheme(), store_.scheme());
-  for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-    for (NodeId v = u; v < graph_.num_nodes(); v += 3) {
-      EXPECT_EQ(back.query(u, v), store_.query(u, v));
-    }
-  }
-}
-
-TEST_P(StoreV3Schemes, V2V3V2WriteIsByteIdentical) {
-  // The coding is bijective on every structurally valid record, so a
-  // store surviving a v3 round trip must re-emit the exact v2 bytes.
-  std::stringstream v2a, v3, v2b;
-  store_.write(v2a, StoreFormat::kV2);
-  store_.write(v3, StoreFormat::kV3);
-  SketchStore::read(v3).write(v2b, StoreFormat::kV2);
-  EXPECT_EQ(v2a.str(), v2b.str());
-}
-
-TEST_P(StoreV3Schemes, MmapAnswersMatchHeapByteForByte) {
-  const std::string path = unique_temp_path("v3_mmap.bin");
-  store_.save_file(path, StoreFormat::kV3);
-  const SketchStore heap = SketchStore::load_file(path);
-  const auto mapped = MmapSketchStore::open(path, /*verify_checksum=*/true);
-  EXPECT_EQ(mapped->scheme(), heap.scheme());
-  EXPECT_EQ(mapped->num_nodes(), heap.num_nodes());
-  EXPECT_EQ(mapped->num_segments(), heap.num_segments());
-  EXPECT_EQ(mapped->k(), heap.k());
-  for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-    EXPECT_EQ(mapped->size_words(u), heap.size_words(u)) << "node " << u;
-    EXPECT_EQ(mapped->encoded_bytes_for(u), heap.encoded_record_bytes(u))
-        << "node " << u;
-    for (NodeId v = u; v < graph_.num_nodes(); v += 3) {
-      EXPECT_EQ(mapped->query(u, v), heap.query(u, v))
-          << "pair " << u << "," << v;
-    }
-  }
-  std::filesystem::remove(path);
-}
-
-TEST_P(StoreV3Schemes, MmapRejectsLegacyFormats) {
-  const std::string path = unique_temp_path("v2_for_mmap.bin");
-  store_.save_file(path, StoreFormat::kV2);
-  try {
-    MmapSketchStore::open(path);
-    FAIL() << "v2 file must not mmap-open";
-  } catch (const StoreCorruptionError& e) {
-    EXPECT_EQ(e.kind(), StoreError::kUnsupportedVersion);
-  }
-  std::filesystem::remove(path);
-}
-
-TEST_P(StoreV3Schemes, LegacyV2StillLoadsThroughTheHeapPath) {
-  const std::string path = unique_temp_path("v2_compat.bin");
-  store_.save_file(path, StoreFormat::kV2);
-  const SketchStore back = SketchStore::load_file(path);
-  for (NodeId u = 0; u < graph_.num_nodes(); u += 2) {
-    for (NodeId v = u; v < graph_.num_nodes(); v += 5) {
-      EXPECT_EQ(back.query(u, v), store_.query(u, v));
-    }
-  }
-  std::filesystem::remove(path);
-}
-
-INSTANTIATE_TEST_SUITE_P(Schemes, StoreV3Schemes,
-                         ::testing::Values(Scheme::kThorupZwick,
-                                           Scheme::kSlack, Scheme::kCdg,
-                                           Scheme::kGraceful));
 
 // ---------------------------------------------------------------------------
 // corruption: the v3 byte-level map needed to aim at specific sections
@@ -260,7 +189,7 @@ class StoreV3Corruption : public ::testing::Test {
     store_ = SketchStore::from_oracle(SketchOracle(graph_, cfg));
     n_ = store_.num_nodes();
     path_ = unique_temp_path("v3_corruption.bin");
-    store_.save_file(path_, StoreFormat::kV3);
+    store_.save_file(path_);
     std::ifstream in(path_, std::ios::binary);
     bytes_.assign(std::istreambuf_iterator<char>(in),
                   std::istreambuf_iterator<char>());
@@ -422,16 +351,110 @@ TEST_F(StoreV3Corruption, RecoverQuarantinesTheTruncatedTail) {
 }
 
 TEST_F(StoreV3Corruption, DecodeRecordMatchesHeapWordModel) {
-  // The test hook: decoding a record off the mapping must yield words
-  // whose tz size formula agrees with the heap store's accounting.
+  // A record decoded straight off the file is the heap store's label,
+  // and the mapping's word model agrees with the heap store's.
   const auto mapped = MmapSketchStore::open(path_);
+  const auto* blob = reinterpret_cast<const std::uint8_t*>(bytes_.data()) +
+                     blob_pos_;
   for (NodeId u = 0; u < n_; ++u) {
-    const std::vector<std::uint32_t> words = mapped->decode_record(0, u);
-    ASSERT_GE(words.size(), 2u) << "node " << u;
-    const std::uint64_t levels = words[0];
-    const std::uint64_t count = words[1];
-    EXPECT_EQ(words.size(), 2 + 3 * levels + 4 * count) << "node " << u;
-    EXPECT_EQ(store_.size_words(u), words.size()) << "node " << u;
+    std::vector<DistKey> pivots;
+    std::vector<BunchEntry> entries;
+    const V3TzHeader h = decode_tz_record(blob + offset_of(u),
+                                          blob + offset_of(u + 1), pivots,
+                                          entries);
+    ASSERT_TRUE(h.ok) << "node " << u;
+    const LabelView decoded{u, h.levels, h.count, pivots.data(),
+                            entries.data()};
+    EXPECT_EQ(decoded.size_words(), store_.size_words(u)) << "node " << u;
+    EXPECT_EQ(mapped->size_words(u), store_.size_words(u)) << "node " << u;
+    EXPECT_EQ(store_.size_words(u), 2 * std::size_t{h.levels} +
+                                        2 * std::size_t{h.count});
+  }
+}
+
+// ---------------------------------------------------------------------------
+// quarantined records: what recover_file leaves must answer kInfDist from
+// the heap store and from the mapping, and keep doing so once saved.
+
+TEST(StoreV3Quarantine, OlderBuildsEmptyTzRecordLoadsAndAnswersInf) {
+  // The fixture's records 5 and 9 are the (0 levels, 0 entries) marker
+  // older builds wrote; they load as k invalid pivots.
+  const std::string path = fixture_path("tz_quarantined_v3.store");
+  const SketchStore heap = SketchStore::load_file(path);
+  const auto mapped = MmapSketchStore::open(path, /*verify_checksum=*/true);
+  const SketchStore intact =
+      SketchStore::load_file(fixture_path("tz_v3.store"));
+  for (NodeId u = 0; u < heap.num_nodes(); ++u) {
+    for (NodeId v = 0; v < heap.num_nodes(); ++v) {
+      const bool quarantined = u == 5 || u == 9 || v == 5 || v == 9;
+      const Dist want =
+          u == v ? 0 : quarantined ? kInfDist : intact.query(u, v);
+      ASSERT_EQ(heap.query(u, v), want) << u << "," << v;
+      ASSERT_EQ(mapped->query(u, v), want) << u << "," << v;
+    }
+  }
+  EXPECT_EQ(heap.size_words(5), 2 * std::size_t{heap.k()});
+}
+
+TEST(StoreV3Quarantine, TwoQuarantinedCdgNodesAnswerInf) {
+  // Two quarantined cdg records share the invalid owner, so their tz
+  // estimate is 0; only the infinite net distance keeps the sum from
+  // wrapping to a finite answer. Graceful records are quarantined in
+  // every level, so no level can answer for them either.
+  for (const Scheme scheme : {Scheme::kCdg, Scheme::kGraceful}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    std::string bytes = file_bytes(fixture_path(fixture_name(scheme, 3)));
+    const auto u64_at = [&](std::size_t pos) {
+      std::uint64_t x = 0;
+      for (int i = 0; i < 8; ++i) {
+        x |= static_cast<std::uint64_t>(
+                 static_cast<std::uint8_t>(bytes[pos + i]))
+             << (8 * i);
+      }
+      return x;
+    };
+    const auto page = [](std::size_t pos) {
+      return pos + (4096 - pos % 4096) % 4096;
+    };
+    const auto n = static_cast<NodeId>(u64_at(16) & 0xffffffffu);
+    const auto segments = static_cast<std::uint32_t>(u64_at(24));
+    // Walk the v3 segment framing (sketch_store.hpp) and stomp records 5
+    // and 9 of every segment.
+    std::size_t pos = 64;
+    for (std::uint32_t s = 0; s < segments; ++s) {
+      pos += 8 + 8 * u64_at(pos);  // meta
+      const std::uint64_t blob_bytes = u64_at(pos);
+      const std::size_t offsets = page(pos + 8);
+      const std::size_t blob = page(offsets + 8 * (n + 1));
+      for (const NodeId victim : {NodeId{5}, NodeId{9}}) {
+        for (std::uint64_t i = u64_at(offsets + 8 * victim);
+             i < u64_at(offsets + 8 * (victim + 1)); ++i) {
+          bytes[blob + i] = static_cast<char>(0xff);
+        }
+      }
+      pos = page(blob + blob_bytes);
+    }
+    const std::string path = unique_temp_path("cdg_quarantine.store");
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const SketchStore::Recovery rec = SketchStore::recover_file(path);
+    ASSERT_EQ(rec.quarantined, (std::vector<NodeId>{5, 9}));
+    rec.store.save_file(path);
+    const SketchStore heap = SketchStore::load_file(path);
+    const auto mapped = MmapSketchStore::open(path, /*verify_checksum=*/true);
+    for (const DistanceOracle* oracle :
+         {static_cast<const DistanceOracle*>(&rec.store),
+          static_cast<const DistanceOracle*>(&heap),
+          static_cast<const DistanceOracle*>(mapped.get())}) {
+      EXPECT_EQ(oracle->query(5, 9), kInfDist);
+      EXPECT_EQ(oracle->query(9, 5), kInfDist);
+      EXPECT_EQ(oracle->query(5, 5), 0u);
+      EXPECT_EQ(oracle->query(5, 0), kInfDist);
+      EXPECT_EQ(oracle->query(0, 9), kInfDist);
+    }
+    std::filesystem::remove(path);
   }
 }
 

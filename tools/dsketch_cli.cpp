@@ -70,6 +70,28 @@ using namespace dsketch;
 
 namespace {
 
+/// A flag the subcommand never read: a typo or a retired option, which
+/// the run it was meant to change did not honour. main exits 2 on it.
+struct UnreadFlagsError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Names every flag nothing has read yet; empty when there is none.
+std::string unread_message(const std::string& cmd, const FlagSet& flags) {
+  const std::vector<std::string> unread = flags.unread();
+  if (unread.empty()) return {};
+  std::string msg = cmd + " does not take";
+  for (const std::string& key : unread) msg += " --" + key;
+  return msg;
+}
+
+/// A subcommand that writes files calls this once it has read all its
+/// flags and before its first write, so a bad flag fails before output.
+void reject_unread(const std::string& cmd, const FlagSet& flags) {
+  const std::string msg = unread_message(cmd, flags);
+  if (!msg.empty()) throw UnreadFlagsError(msg);
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: dsketch "
@@ -94,9 +116,9 @@ int usage() {
                "[--epsilon-far E]\n"
                "  list-schemes   (every registered oracle scheme with its "
                "guarantee and capabilities)\n"
-               "  convert --in FILE --out FILE [--format v2|v3]   "
-               "(text envelope or binary store in, binary store out, v3 "
-               "unless --format says otherwise)\n"
+               "  convert --in FILE --out FILE   "
+               "(text envelope or binary store of any version in, v3 "
+               "binary store out)\n"
                "  serve-bench (--store FILE [--mmap [--verify-checksum]] | "
                "--graph FILE --scheme NAME) "
                "[--queries N] [--batch B,B,...] [--threads T,T,...] "
@@ -137,6 +159,7 @@ std::unique_ptr<DistanceOracle> build_oracle(const Graph& g,
 int cmd_gen(const FlagSet& flags) {
   const Graph g = exp::generate_graph(flags);
   const std::string out = flags.require("out");
+  reject_unread("gen", flags);
   write_graph_file(out, g);
   std::printf("wrote %s: %u nodes, %zu edges\n", out.c_str(), g.num_nodes(),
               g.num_edges());
@@ -181,19 +204,22 @@ void warn_round_limit(const SimStats& cost) {
 
 /// Shared tail of `dsketch build`: save/store/report for a built oracle.
 int finish_build(const FlagSet& flags, const DistanceOracle& oracle) {
-  if (flags.has("save")) {
-    std::ofstream out(flags.get("save", std::string{}));
+  const bool save = flags.has("save");
+  const bool store_file = flags.has("store");
+  const std::string save_path = flags.get("save", std::string{});
+  const std::string store_path = flags.get("store", std::string{});
+  reject_unread("build", flags);
+  if (save) {
+    std::ofstream out(save_path);
     if (!out) throw std::runtime_error("cannot open --save file");
     oracle.save(out);
-    std::printf("oracle saved to %s\n",
-                flags.get("save", std::string{}).c_str());
+    std::printf("oracle saved to %s\n", save_path.c_str());
   }
-  if (flags.has("store")) {
-    const std::string path = flags.get("store", std::string{});
+  if (store_file) {
     const SketchStore store = SketchStore::from_oracle(oracle);
-    store.save_file(path);
+    store.save_file(store_path);
     std::printf("binary store saved to %s (%zu payload bytes)\n",
-                path.c_str(), store.payload_bytes());
+                store_path.c_str(), store.encoded_bytes());
   }
   std::printf("scheme:     %s (%s)\n", oracle.scheme().c_str(),
               oracle.guarantee().c_str());
@@ -401,18 +427,10 @@ int cmd_eval(const FlagSet& flags) {
   return 0;
 }
 
-StoreFormat parse_store_format(const std::string& name) {
-  if (name == "v2") return StoreFormat::kV2;
-  if (name == "v3") return StoreFormat::kV3;
-  throw std::runtime_error("unknown store format: " + name +
-                           " (expected v2|v3)");
-}
-
 int cmd_convert(const FlagSet& flags) {
   const std::string in_path = flags.require("in");
   const std::string out_path = flags.require("out");
-  const StoreFormat format =
-      parse_store_format(flags.get("format", std::string("v3")));
+  reject_unread("convert", flags);
   std::ifstream in(in_path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open --in file: " + in_path);
   char magic[8] = {};
@@ -420,31 +438,30 @@ int cmd_convert(const FlagSet& flags) {
   in.clear();
   in.seekg(0);
   const bool input_is_binary = std::string(magic, 7) == "DSKSTOR";
-  // Text input is the registry envelope `build --save` writes, packed the
-  // way `build --store` packs the built oracle. Binary input of any store
-  // version is re-encoded: upgrading a v1/v2 store to the mmap-servable
-  // v3 layout, or downgrading with --format v2.
+  // Text input is the registry envelope `build --save` writes, stored the
+  // way `build --store` stores the built oracle. Binary input of any
+  // store version is re-encoded as v3 (upgrading a v1/v2 store to the
+  // mmap-servable layout).
   const SketchStore store =
       input_is_binary ? SketchStore::read(in)
                       : SketchStore::from_oracle(
                             *OracleRegistry::instance().load(in).oracle);
-  store.save_file(out_path, format);
-  std::printf("converted %s %s -> %s binary store %s (%zu bytes)\n",
+  store.save_file(out_path);
+  std::printf("converted %s %s -> v3 binary store %s (%zu bytes)\n",
               input_is_binary ? "binary" : "text", in_path.c_str(),
-              format == StoreFormat::kV3 ? "v3" : "v2", out_path.c_str(),
-              format == StoreFormat::kV3 ? store.encoded_bytes()
-                                         : store.payload_bytes());
+              out_path.c_str(), store.encoded_bytes());
   return 0;
 }
 
 int cmd_ingest(const FlagSet& flags) {
   const std::string in_path = flags.require("in");
   const std::string out_path = flags.require("out");
+  const IngestFormat format =
+      parse_ingest_format(flags.get("format", std::string("auto")));
+  reject_unread("ingest", flags);
   IngestStats stats;
   Timer timer;
-  const Graph g = ingest_edge_list_file(
-      in_path, parse_ingest_format(flags.get("format", std::string("auto"))),
-      &stats);
+  const Graph g = ingest_edge_list_file(in_path, format, &stats);
   const double seconds = timer.seconds();
   write_graph_file(out_path, g);
   std::printf(
@@ -503,17 +520,20 @@ int cmd_serve_bench(const FlagSet& flags) {
   // accuracy cross-check (histogram percentiles vs exact ones).
   const std::string metrics_out = flags.get("metrics-out", std::string{});
   const std::string trace_out = flags.get("trace-out", std::string{});
+  const std::vector<std::int64_t> thread_counts =
+      parse_int_list(flags.get("threads", std::string("0")));
+  const std::vector<std::int64_t> batch_sizes =
+      parse_int_list(flags.get("batch", std::string("1024")));
+  reject_unread("serve-bench", flags);
   obs::MetricsRegistry registry;
   obs::LatencyHistogram* batch_hist =
       metrics_out.empty() ? nullptr : &registry.histogram("serve_batch_us");
   SampleSet exact_batch_us;
   if (!trace_out.empty()) obs::TraceSession::start(1 << 19);
 
-  for (const std::int64_t threads :
-       parse_int_list(flags.get("threads", std::string("0")))) {
+  for (const std::int64_t threads : thread_counts) {
     if (threads < 0) throw std::runtime_error("--threads must be >= 0");
-    for (const std::int64_t batch :
-         parse_int_list(flags.get("batch", std::string("1024")))) {
+    for (const std::int64_t batch : batch_sizes) {
       if (batch <= 0) throw std::runtime_error("--batch must be positive");
       QueryServiceConfig cfg;
       cfg.shards = static_cast<std::size_t>(shards);
@@ -730,9 +750,11 @@ int cmd_faults(const FlagSet& flags) {
         static_cast<std::size_t>(flags.get("truncate", std::int64_t{0}));
     const auto flips =
         static_cast<std::size_t>(flags.get("flip", std::int64_t{0}));
+    const bool recover = flags.get_bool("recover");
     if (truncate_bytes == 0 && flips == 0) {
       throw std::runtime_error("--store mode needs --truncate N or --flip N");
     }
+    reject_unread("faults", flags);
     if (truncate_bytes > 0) {
       bytes.resize(bytes.size() > truncate_bytes
                        ? bytes.size() - truncate_bytes
@@ -753,7 +775,7 @@ int cmd_faults(const FlagSet& flags) {
     std::printf("corrupted %s -> %s (%zu bytes, truncated %zu, flipped %zu)\n",
                 in_path.c_str(), out_path.c_str(), bytes.size(),
                 truncate_bytes, flips);
-    if (flags.get_bool("recover")) {
+    if (recover) {
       try {
         const SketchStore::Recovery rec = SketchStore::recover_file(out_path);
         std::printf("recovered: scheme=%s nodes=%u quarantined=%zu "
@@ -914,33 +936,46 @@ int cmd_repro(const FlagSet& flags) {
   return summary.ok() ? 0 : 1;
 }
 
+int run_command(const std::string& cmd, const FlagSet& flags) {
+  if (cmd == "gen") return cmd_gen(flags);
+  if (cmd == "ingest") return cmd_ingest(flags);
+  if (cmd == "info") return cmd_info(flags);
+  if (cmd == "build") return cmd_build(flags);
+  if (cmd == "query") return cmd_query(flags);
+  if (cmd == "eval") return cmd_eval(flags);
+  if (cmd == "convert") return cmd_convert(flags);
+  if (cmd == "serve-bench") return cmd_serve_bench(flags);
+  if (cmd == "metrics-dump") return cmd_metrics_dump(flags);
+  if (cmd == "dynamic-bench") return dsketch::bench::run_e14(flags, std::cout);
+  if (cmd == "list-schemes" || cmd == "--list-schemes") {
+    return cmd_list_schemes();
+  }
+  if (cmd == "faults") return cmd_faults(flags);
+  if (cmd == "repro") return cmd_repro(flags);
+  return usage();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   const FlagSet flags(argc - 1, argv + 1);
+  int code = 0;
   try {
-    if (cmd == "gen") return cmd_gen(flags);
-    if (cmd == "ingest") return cmd_ingest(flags);
-    if (cmd == "info") return cmd_info(flags);
-    if (cmd == "build") return cmd_build(flags);
-    if (cmd == "query") return cmd_query(flags);
-    if (cmd == "eval") return cmd_eval(flags);
-    if (cmd == "convert") return cmd_convert(flags);
-    if (cmd == "serve-bench") return cmd_serve_bench(flags);
-    if (cmd == "metrics-dump") return cmd_metrics_dump(flags);
-    if (cmd == "dynamic-bench") {
-      return dsketch::bench::run_e14(flags, std::cout);
-    }
-    if (cmd == "list-schemes" || cmd == "--list-schemes") {
-      return cmd_list_schemes();
-    }
-    if (cmd == "faults") return cmd_faults(flags);
-    if (cmd == "repro") return cmd_repro(flags);
+    code = run_command(cmd, flags);
+  } catch (const UnreadFlagsError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return usage();
+  // Subcommands that write files reject unread flags before writing; the
+  // rest have run by now, so the message says what that means.
+  const std::string msg = unread_message(cmd, flags);
+  if (msg.empty()) return code;
+  std::fprintf(stderr, "error: %s (any output of this run is already "
+                       "written)\n", msg.c_str());
+  return 2;
 }
